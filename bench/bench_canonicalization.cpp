@@ -81,7 +81,11 @@ std::string encode_discrete(const CsrGraph& g,
   for (std::size_t i = 0; i < n; ++i) {
     const NodeId v = order[i];
     const std::string& p = payloads[static_cast<std::size_t>(v)];
-    enc += "L" + std::to_string(p.size()) + ":" + p + "|A";
+    enc += 'L';
+    enc += std::to_string(p.size());
+    enc += ':';
+    enc += p;
+    enc += "|A";
     std::vector<int> around;
     for (NodeId w : g.neighbors(v)) {
       const int pw = position[static_cast<std::size_t>(w)];

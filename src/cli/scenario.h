@@ -61,9 +61,9 @@ struct Scenario {
   std::function<bool(const ScenarioOptions&, std::ostream&)> run;
   // What --faults selects here (empty: unsupported). Declared after `run`
   // so the registry's positional aggregate initializers — written before
-  // fault profiles existed — keep their meaning; scenarios opting in set
-  // the field by name.
-  std::string fault_help;
+  // fault profiles existed — keep their meaning (the explicit default keeps
+  // them warning-free); scenarios opting in set the field by name.
+  std::string fault_help = {};
 };
 
 // The full registry, in paper order.

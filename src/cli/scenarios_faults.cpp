@@ -1,16 +1,17 @@
-// The fault-robustness scenario: sync engine vs event-driven engine under a
-// selectable fault profile, per family cell.
+// The fault-robustness scenario: clean verdicts vs event-driven verdicts
+// under a selectable fault profile, per family cell.
 //
 // The paper's model assumes clean synchronous rounds; the follow-up papers
 // probe verdict sensitivity to model perturbations. This scenario makes the
-// network itself the perturbed axis: the Id-oblivious panel runs over a
-// generated family instance through the clean synchronous engine and
-// through the event-driven engine (local/event_engine.h) under a `--faults`
-// profile, and the table reports per-algorithm verdict agreement plus the
-// simulated schedule's deterministic statistics. A `none`-profile control
-// run must reproduce the sync engine verbatim — that equivalence is the
-// scenario's pass criterion (divergence under real faults is the data, not
-// a failure).
+// network itself the perturbed axis: the Id-oblivious panel is decided over
+// a generated family instance by direct ball evaluation — by the paper's
+// section 1.2 equivalence, the clean synchronous verdict, hence the
+// `sync yes` column — and by one event-driven flood (local/event_engine.h)
+// under a `--faults` profile, and the table reports per-algorithm verdict
+// agreement plus the simulated schedule's deterministic statistics. A
+// `none`-profile control flood must reproduce direct evaluation verbatim —
+// that equivalence is the scenario's pass criterion (divergence under real
+// faults is the data, not a failure).
 #include "cli/scenarios.h"
 #include "gen/workload.h"
 #include "local/fault_profile.h"
@@ -70,9 +71,10 @@ bool run_fault_robustness(const ScenarioOptions& opts, std::ostream& out) {
   emit_table(out, opts, "event-engine schedule (seeded, deterministic)",
              schedule);
   emit_note(out, opts,
-            "the `none` control run must reproduce the synchronous engine "
-            "verbatim; the faulty columns and the schedule table are pure "
-            "functions of (family, profile, seed) at any --threads value.");
+            "the `none` control flood must reproduce direct ball evaluation "
+            "(the clean synchronous verdict) verbatim; the faulty columns "
+            "and the schedule table are pure functions of (family, profile, "
+            "seed) at any --threads value.");
   return ok;
 }
 

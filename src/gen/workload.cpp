@@ -8,7 +8,7 @@
 #include "local/ball.h"
 #include "local/identifiers.h"
 #include "local/labeled_graph.h"
-#include "local/sync_engine.h"
+#include "local/simulator.h"
 #include "obs/trace.h"
 #include "support/format.h"
 
@@ -183,31 +183,46 @@ FaultRobustnessResult run_fault_robustness(
       local::make_consecutive(instance.node_count());
   const local::FaultProfileInstance control =
       local::resolve_faults_text("none");
+  std::vector<const local::LocalAlgorithm*> algs;
+  for (const auto& algorithm : panel()) {
+    algs.push_back(algorithm.get());
+  }
 
-  out.panel.resize(panel().size());
-  std::vector<local::EventStats> stats(panel().size());
-  exec.for_each(panel().size(), [&](std::size_t a) {
-    const local::LocalAlgorithm& alg = *panel()[a];
-    obs::Span row_span("fault-panel-row", alg.name());
-    FaultPanelRow row;
-    row.algorithm = alg.name();
-    const std::vector<local::Verdict> sync =
-        local::run_via_message_passing(alg, instance, ids);
-    const local::EventRunResult clean =
-        local::run_via_event_engine(alg, instance, ids, control, opts.seed);
-    const local::EventRunResult faulty =
-        local::run_via_event_engine(alg, instance, ids, profile, opts.seed);
-    row.control_identical = clean.verdicts == sync;
-    for (std::size_t v = 0; v < sync.size(); ++v) {
-      row.sync_yes += sync[v] == local::Verdict::yes ? 1 : 0;
-      row.faulty_yes += faulty.verdicts[v] == local::Verdict::yes ? 1 : 0;
-      row.agree_nodes += faulty.verdicts[v] == sync[v] ? 1 : 0;
-    }
-    stats[a] = faulty.stats;
-    out.panel[a] = std::move(row);
+  // The clean truth is direct ball evaluation: by the paper's section 1.2
+  // equivalence it is the clean synchronous verdict. Pool only, no cache:
+  // the panel is cheaper to evaluate than a ball is to canonicalize.
+  std::vector<std::vector<local::Verdict>> truth;
+  for (const local::LocalAlgorithm* alg : algs) {
+    truth.push_back(
+        local::run_oblivious(*alg, instance, {.exec = {.pool = exec.pool}})
+            .outputs);
+  }
+  // One flood per profile decides the whole panel: the gathered knowledge
+  // does not depend on the algorithm. A `none` pass needs only the control.
+  const bool faulty_is_control = profile.profile().name == "none";
+  std::vector<local::FloodResult> floods(faulty_is_control ? 1 : 2);
+  exec.for_each(floods.size(), [&](std::size_t i) {
+    const local::FaultProfileInstance& flood_profile =
+        i == 0 ? control : profile;
+    obs::Span span("fault-flood", flood_profile.canonical());
+    floods[i] = local::run_flood(algs, instance, ids, flood_profile, opts.seed);
   });
-  // The schedule is payload-independent, so every row saw the same one.
-  out.stats = stats.empty() ? local::EventStats{} : stats.front();
+  const local::FloodResult& faulty = floods.back();
+
+  for (std::size_t a = 0; a < algs.size(); ++a) {
+    FaultPanelRow row;
+    row.algorithm = algs[a]->name();
+    row.control_identical = floods.front().verdicts[a] == truth[a];
+    for (std::size_t v = 0; v < truth[a].size(); ++v) {
+      const local::Verdict clean = truth[a][v];
+      const local::Verdict perturbed = faulty.verdicts[a][v];
+      row.sync_yes += clean == local::Verdict::yes ? 1 : 0;
+      row.faulty_yes += perturbed == local::Verdict::yes ? 1 : 0;
+      row.agree_nodes += perturbed == clean ? 1 : 0;
+    }
+    out.panel.push_back(std::move(row));
+  }
+  out.stats = faulty.stats;
   return out;
 }
 

@@ -73,19 +73,21 @@ WorkloadResult run_family_workload(const FamilyInstanceSpec& spec,
 // --- Fault robustness -------------------------------------------------------
 //
 // The event-engine robustness pass shared by the `fault-robustness`
-// scenario and `locald bench --faults`: every panel algorithm runs over the
-// built instance through the synchronous engine, through the event engine
-// under the `none` control profile, and through the event engine under
-// `profile`. Every field is a pure function of (family spec, profile,
-// seed) — the event engine's schedule is seeded, so the whole result may
-// appear in byte-gated documents.
+// scenario and `locald bench --faults`. The clean truth is direct ball
+// evaluation of every panel algorithm — by the paper's section 1.2
+// equivalence, the clean synchronous verdict. Then one event-engine flood
+// under the `none` control profile and one under `profile` each decide the
+// whole panel (the gathered knowledge does not depend on the algorithm).
+// Every field is a pure function of (family spec, profile, seed) — the
+// event engine's schedule is seeded, so the whole result may appear in
+// byte-gated documents.
 
 struct FaultPanelRow {
   std::string algorithm;
-  std::int64_t sync_yes = 0;       // sync-engine yes-nodes (the clean truth)
+  std::int64_t sync_yes = 0;       // direct-evaluation yes-nodes (the truth)
   std::int64_t faulty_yes = 0;     // event engine under `profile`
-  std::int64_t agree_nodes = 0;    // nodes where faulty == sync, per node
-  // The `none`-profile event run reproduced the sync engine verbatim — the
+  std::int64_t agree_nodes = 0;    // nodes where faulty == truth, per node
+  // The `none`-profile flood reproduced direct evaluation verbatim — the
   // equivalence the engine promises; any false here is an engine bug, not a
   // property of the profile.
   bool control_identical = false;
@@ -96,10 +98,8 @@ struct FaultRobustnessResult {
   std::string profile;  // canonical profile encoding
   std::int64_t nodes = 0;
   std::vector<FaultPanelRow> panel;
-  // The faulty schedule's deterministic statistics. The schedule depends
-  // only on (graph, rounds, profile, seed) — not on payloads — and every
-  // panel algorithm runs the same round count, so one stats block covers
-  // all rows.
+  // The faulty flood's deterministic schedule statistics. One flood decides
+  // every row, so one stats block covers them all.
   local::EventStats stats;
 
   bool ok() const {
@@ -110,8 +110,8 @@ struct FaultRobustnessResult {
   }
 };
 
-// Runs the pass. Deterministic at every `exec` thread count (algorithms
-// fan out across the pool; each row is an independent pure function).
+// Runs the pass. Deterministic at every `exec` thread count (the control
+// and faulty floods fan out across the pool; each is a pure function).
 FaultRobustnessResult run_fault_robustness(
     const FamilyInstanceSpec& spec, const WorkloadOptions& opts,
     const local::FaultProfileInstance& profile, const exec::ExecContext& exec);

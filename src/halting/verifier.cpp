@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <map>
+#include <mutex>
 #include <optional>
 #include <set>
 
@@ -167,7 +168,7 @@ class GmrVerifier final : public local::LocalAlgorithm {
       }
       parsed.labels[static_cast<std::size_t>(v)] = std::move(d);
     }
-    MachineCtx* ctx = context(*enc);
+    const MachineCtx* ctx = context(*enc);
     if (ctx == nullptr || !ctx->valid) {
       return Verdict::no;
     }
@@ -447,11 +448,22 @@ class GmrVerifier final : public local::LocalAlgorithm {
     return fragment->key();
   }
 
-  MachineCtx* context(const std::vector<std::int64_t>& enc) const {
-    auto it = cache_.find(enc);
-    if (it != cache_.end()) {
-      return it->second.get();
+  // Pool threads evaluate balls concurrently, so the memo is guarded: the
+  // lock covers only the map lookup, and each machine's context is built
+  // exactly once (std::call_once) and is read-only afterwards. Other
+  // machines' lookups never wait on a build.
+  const MachineCtx* context(const std::vector<std::int64_t>& enc) const {
+    ContextSlot* slot = nullptr;
+    {
+      std::lock_guard<std::mutex> lock(cache_mu_);
+      slot = &cache_[enc];
     }
+    std::call_once(slot->built, [&] { slot->ctx = build_context(enc); });
+    return slot->ctx.get();
+  }
+
+  std::unique_ptr<MachineCtx> build_context(
+      const std::vector<std::int64_t>& enc) const {
     std::unique_ptr<MachineCtx> ctx;
     try {
       tm::TuringMachine m = tm::TuringMachine::decode(enc);
@@ -474,15 +486,22 @@ class GmrVerifier final : public local::LocalAlgorithm {
     } catch (const Error&) {
       ctx = nullptr;
     }
-    return cache_.emplace(enc, std::move(ctx)).first->second.get();
+    return ctx;
   }
+
+  // One memo entry; std::map nodes never move, so a slot's address is
+  // stable while other threads insert.
+  struct ContextSlot {
+    std::once_flag built;
+    std::unique_ptr<MachineCtx> ctx;  // null: undecodable machine
+  };
 
   int k_;
   tm::FragmentPolicy policy_;
   bool pyramidal_;
   long long step_budget_;
-  mutable std::map<std::vector<std::int64_t>, std::unique_ptr<MachineCtx>>
-      cache_;
+  mutable std::mutex cache_mu_;
+  mutable std::map<std::vector<std::int64_t>, ContextSlot> cache_;
 };
 
 }  // namespace

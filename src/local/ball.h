@@ -17,9 +17,9 @@
 //    `with_ids`) is alive.
 //  - `Ball` owns its storage (a `CsrGraph` plus label/id vectors); it is
 //    what `extract_ball` returns when the caller needs the ball to outlive
-//    the extraction (audits that hold two balls at once, the sync engine's
-//    knowledge reconstruction, pre-extracted sampling loops). It converts
-//    implicitly to `BallView`.
+//    the extraction (audits that hold two balls at once, the gather
+//    protocol's ball reconstruction, pre-extracted sampling loops). It
+//    converts implicitly to `BallView`.
 //
 // `canonical_encoding` is a complete isomorphism invariant of the ball
 // (centre distinguished, labels exact, ids exact when present): two balls
@@ -101,7 +101,7 @@ struct BallView {
 };
 
 // Owning ball. Public members mirror the legacy struct so direct
-// construction sites (sync engine, tests) carry over.
+// construction sites (the gather protocol, tests) carry over.
 struct Ball {
   graph::CsrGraph g;
   std::vector<Label> labels;

@@ -111,11 +111,15 @@ struct Slot {
 
 class Engine {
  public:
-  Engine(const MessagePassingAlgorithm& alg, const LabeledGraph& g,
-         const IdAssignment* ids, const FaultKnobs& knobs, std::uint64_t seed)
-      : alg_(alg), g_(g), ids_(ids), knobs_(knobs), seed_(seed) {}
+  Engine(const FullInfoGather& gather, const LabeledGraph& g,
+         const IdAssignment& ids, const FaultKnobs& knobs, std::uint64_t seed)
+      : gather_(gather), g_(g), ids_(ids), knobs_(knobs), seed_(seed) {}
 
-  EventRunResult run();
+  // Floods to completion; afterwards state(v) is v's gathered knowledge.
+  EventStats run();
+  const std::string& state(graph::NodeId v) const {
+    return state_[static_cast<std::size_t>(v)];
+  }
 
  private:
   const graph::CsrGraph& graph() const { return g_.graph(); }
@@ -128,7 +132,7 @@ class Engine {
   }
 
   // Port of node `u` in `v`'s inbox: the rank of `u` in v's (ascending)
-  // neighbour list — the same ordering the sync engine's inbox uses.
+  // neighbour list.
   int port_of(graph::NodeId v, graph::NodeId u) const {
     const auto nbrs = graph().neighbors(v);
     const auto it = std::lower_bound(nbrs.begin(), nbrs.end(), u);
@@ -147,9 +151,9 @@ class Engine {
   void send_round(graph::NodeId v, int round, std::uint64_t now);
   void advance(graph::NodeId v, std::uint64_t now);
 
-  const MessagePassingAlgorithm& alg_;
+  const FullInfoGather& gather_;
   const LabeledGraph& g_;
-  const IdAssignment* ids_;
+  const IdAssignment& ids_;
   FaultKnobs knobs_;
   std::uint64_t seed_;
 
@@ -166,8 +170,7 @@ class Engine {
 };
 
 void Engine::send_round(graph::NodeId v, int round, std::uint64_t now) {
-  const std::string msg =
-      alg_.message(state_[static_cast<std::size_t>(v)], round);
+  const std::string& msg = state_[static_cast<std::size_t>(v)];
   const std::uint64_t n = static_cast<std::uint64_t>(g_.node_count());
   for (graph::NodeId w : graph().neighbors(v)) {
     const std::uint64_t arc = static_cast<std::uint64_t>(v) * n +
@@ -271,7 +274,7 @@ void Engine::advance(graph::NodeId v, std::uint64_t now) {
   const std::size_t vi = static_cast<std::size_t>(v);
   const std::size_t deg = graph().neighbors(v).size();
   std::uint64_t t = now;
-  while (round_of_[vi] < alg_.rounds()) {
+  while (round_of_[vi] < gather_.rounds()) {
     const int round = round_of_[vi];
     bool complete = true;
     for (std::size_t p = 0; p < deg && complete; ++p) {
@@ -281,38 +284,31 @@ void Engine::advance(graph::NodeId v, std::uint64_t now) {
       return;
     }
     t = std::max(t, round_time_[vi][static_cast<std::size_t>(round)]);
+    // A finished round's slots are never read again: move the payloads out.
     std::vector<std::string> inbox;
     inbox.reserve(deg);
     for (std::size_t p = 0; p < deg; ++p) {
-      inbox.push_back(slot(v, round, static_cast<int>(p)).payload);
+      inbox.push_back(std::move(slot(v, round, static_cast<int>(p)).payload));
     }
-    state_[vi] = alg_.update(state_[vi], inbox, round);
+    state_[vi] = gather_.update(state_[vi], inbox);
     ++round_of_[vi];
-    if (round_of_[vi] < alg_.rounds()) {
+    if (round_of_[vi] < gather_.rounds()) {
       send_round(v, round_of_[vi], t);
     }
   }
 }
 
-EventRunResult Engine::run() {
-  if (ids_ != nullptr) {
-    LOCALD_CHECK(ids_->node_count() == g_.node_count(),
-                 "identifier assignment size mismatch");
-  }
+EventStats Engine::run() {
+  LOCALD_CHECK(ids_.node_count() == g_.node_count(),
+               "identifier assignment size mismatch");
   const graph::NodeId n = g_.node_count();
-  const int rounds = alg_.rounds();
+  const int rounds = gather_.rounds();
   state_.resize(static_cast<std::size_t>(n));
   round_of_.assign(static_cast<std::size_t>(n), 0);
   slots_.resize(static_cast<std::size_t>(n));
   round_time_.resize(static_cast<std::size_t>(n));
   for (graph::NodeId v = 0; v < n; ++v) {
-    NodeView view;
-    view.label = g_.label(v);
-    if (ids_ != nullptr) {
-      view.id = ids_->of(v);
-    }
-    view.degree = graph().degree(v);
-    state_[static_cast<std::size_t>(v)] = alg_.init(view);
+    state_[static_cast<std::size_t>(v)] = gather_.init(ids_.of(v), g_.label(v));
     const std::size_t deg = graph().neighbors(v).size();
     slots_[static_cast<std::size_t>(v)].resize(
         static_cast<std::size_t>(rounds) * deg);
@@ -369,14 +365,6 @@ EventRunResult Engine::run() {
                   "event queue drained before every node finished");
   }
 
-  EventRunResult result;
-  result.verdicts.reserve(static_cast<std::size_t>(n));
-  for (graph::NodeId v = 0; v < n; ++v) {
-    result.verdicts.push_back(
-        alg_.output(state_[static_cast<std::size_t>(v)]));
-  }
-  result.stats = stats_;
-
   // Feed the volatile process-wide surface; never read back into results.
   ensure_event_metrics_registered();
   g_events_dispatched.fetch_add(stats_.events_dispatched,
@@ -388,17 +376,34 @@ EventRunResult Engine::run() {
   g_messages_delayed.fetch_add(stats_.messages_delayed,
                                std::memory_order_relaxed);
   raise_max(g_max_queue_depth, stats_.max_queue_depth);
-  return result;
+  return stats_;
 }
 
 }  // namespace
 
-EventRunResult run_event_driven(const MessagePassingAlgorithm& alg,
-                                const LabeledGraph& g, const IdAssignment* ids,
-                                const FaultProfileInstance& profile,
-                                std::uint64_t seed) {
-  Engine engine(alg, g, ids, profile.knobs(), seed);
-  return engine.run();
+FloodResult run_flood(const std::vector<const LocalAlgorithm*>& algs,
+                      const LabeledGraph& g, const IdAssignment& ids,
+                      const FaultProfileInstance& profile, std::uint64_t seed) {
+  LOCALD_CHECK(!algs.empty(), "a flood needs at least one algorithm");
+  const FullInfoGather gather(algs.front()->horizon());
+  for (const LocalAlgorithm* alg : algs) {
+    LOCALD_CHECK(alg->horizon() == gather.horizon(),
+                 "one flood serves algorithms of one horizon");
+  }
+  Engine engine(gather, g, ids, profile.knobs(), seed);
+  FloodResult result;
+  result.stats = engine.run();
+  const std::size_t n = static_cast<std::size_t>(g.node_count());
+  result.verdicts.assign(algs.size(), std::vector<Verdict>(n));
+  for (graph::NodeId v = 0; v < g.node_count(); ++v) {
+    const Ball ball = gather.ball(engine.state(v));
+    const BallView view = ball.view();
+    for (std::size_t a = 0; a < algs.size(); ++a) {
+      result.verdicts[a][static_cast<std::size_t>(v)] = algs[a]->evaluate(
+          algs[a]->id_oblivious() ? view.without_ids() : view);
+    }
+  }
+  return result;
 }
 
 EventRunResult run_via_event_engine(const LocalAlgorithm& alg,
@@ -406,35 +411,8 @@ EventRunResult run_via_event_engine(const LocalAlgorithm& alg,
                                     const IdAssignment& ids,
                                     const FaultProfileInstance& profile,
                                     std::uint64_t seed) {
-  // horizon + 1 rounds, as in run_via_message_passing: the extra round lets
-  // distance-t nodes report their own adjacency before outputs.
-  class Wrapper final : public MessagePassingAlgorithm {
-   public:
-    explicit Wrapper(const LocalAlgorithm& inner)
-        : gather_(inner), inner_(&inner) {}
-    std::string name() const override { return gather_.name(); }
-    int rounds() const override { return inner_->horizon() + 1; }
-    std::string init(const NodeView& v) const override {
-      return gather_.init(v);
-    }
-    std::string message(const std::string& s, int r) const override {
-      return gather_.message(s, r);
-    }
-    std::string update(const std::string& s,
-                       const std::vector<std::string>& inbox,
-                       int r) const override {
-      return gather_.update(s, inbox, r);
-    }
-    Verdict output(const std::string& s) const override {
-      return gather_.output(s);
-    }
-
-   private:
-    FullInfoGather gather_;
-    const LocalAlgorithm* inner_;
-  };
-  Wrapper wrapper(alg);
-  return run_event_driven(wrapper, g, &ids, profile, seed);
+  FloodResult flood = run_flood({&alg}, g, ids, profile, seed);
+  return {std::move(flood.verdicts.front()), flood.stats};
 }
 
 EventEngineCounters event_engine_counters() {

@@ -1,17 +1,21 @@
 // Event-driven message-passing runtime with seeded fault injection.
 //
-// `local/sync_engine` runs the LOCAL model's clean lockstep rounds. This
-// engine runs the SAME algorithm interface over a discrete-event simulation
-// instead: messages become events on a priority queue ordered by (virtual
-// time, sequence number), and a fault profile (local/fault_profile.h) may
-// delay, drop, retransmit, or fragment them in flight. Nodes progress in
-// alpha-synchronizer style — a node applies its round-r update the moment
-// every round-r inbox slot has resolved (payload delivered or definitively
-// lost), buffering messages that arrive for future rounds — so the
-// execution is asynchronous even though the algorithm is written in rounds.
+// The one runtime that drives the full-information gather protocol
+// (local/sync_engine.h). Messages become events on a priority queue ordered
+// by (virtual time, sequence number), and a fault profile
+// (local/fault_profile.h) may delay, drop, retransmit, or fragment them in
+// flight. Nodes progress in alpha-synchronizer style — a node applies its
+// round-r update the moment every round-r inbox slot has resolved (payload
+// delivered or definitively lost), buffering messages that arrive for
+// future rounds — so the execution is asynchronous even though the protocol
+// is written in rounds.
+//
+// One flood serves every algorithm of one horizon: the gathered knowledge
+// does not depend on the algorithm, so at output each node rebuilds its
+// ball once and every algorithm decides on it.
 //
 // Determinism contract: the schedule is a pure function of
-// (graph, algorithm, profile, seed).
+// (graph, rounds, profile, seed) — never of payloads.
 //  - Every fault decision (drop per attempt, delay per message, jitter per
 //    fragment) is drawn from a counter-based stream
 //    `Rng::stream(seed ^ plane, arc, index(round, attempt))`, keyed by the
@@ -20,10 +24,11 @@
 //  - The queue orders ties by a sequence number assigned at push time, and
 //    one run is a single-threaded simulation, so pops are totally ordered.
 //  - A lost message resolves its inbox slot to the empty string: the
-//    algorithm sees a fixed-arity inbox (one slot per port, in port order)
-//    with gaps, exactly the sync engine's shape.
-// Under the `none` profile every message arrives at its synchronous slot
-// and the engine reproduces `run_message_passing` verbatim (tested).
+//    protocol sees a fixed-arity inbox (one slot per port, in port order)
+//    with gaps.
+// Under the `none` profile every message arrives at its synchronous slot:
+// the run is the paper's lockstep rounds, and its verdicts equal direct
+// ball evaluation (tested).
 //
 // EventStats is part of the deterministic result — it reports the simulated
 // schedule, not wall-clock behaviour — so scenarios may print it in
@@ -59,17 +64,21 @@ struct EventRunResult {
   EventStats stats;
 };
 
-// Runs `alg.rounds()` rounds of `alg` on the event engine under `profile`.
-// `ids` may be null for anonymous runs (as in run_message_passing).
-EventRunResult run_event_driven(const MessagePassingAlgorithm& alg,
-                                const LabeledGraph& g, const IdAssignment* ids,
-                                const FaultProfileInstance& profile,
-                                std::uint64_t seed);
+// One flood under `profile`, decided by every algorithm in `algs`. The
+// algorithms must share one horizon. verdicts[a][v] is algorithm a's output
+// at node v; under lossy profiles a node decides on whatever partial ball
+// knowledge got through.
+struct FloodResult {
+  std::vector<std::vector<Verdict>> verdicts;
+  EventStats stats;
+};
 
-// Convenience mirroring run_via_message_passing: full-information gathering
-// for `alg` (horizon + 1 rounds) through the event engine. Under `none`
-// this reproduces run_via_message_passing's verdicts exactly; under lossy
-// profiles nodes decide on whatever partial ball knowledge got through.
+FloodResult run_flood(const std::vector<const LocalAlgorithm*>& algs,
+                      const LabeledGraph& g, const IdAssignment& ids,
+                      const FaultProfileInstance& profile, std::uint64_t seed);
+
+// The one-algorithm flood. Under `none` this equals run_via_message_passing
+// and direct ball evaluation.
 EventRunResult run_via_event_engine(const LocalAlgorithm& alg,
                                     const LabeledGraph& g,
                                     const IdAssignment& ids,

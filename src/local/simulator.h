@@ -33,7 +33,9 @@ struct RunOptions {
   // deterministic ones.
   std::uint64_t seed = 0;
   // Visibility radius override; unset means the algorithm's own horizon().
-  std::optional<int> radius;
+  // The explicit default lets callers brace-initialize the leading members
+  // alone without a missing-initializer warning.
+  std::optional<int> radius = std::nullopt;
 };
 
 struct RunResult {

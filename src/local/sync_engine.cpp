@@ -4,54 +4,10 @@
 #include <sstream>
 
 #include "graph/graph.h"
-
+#include "local/event_engine.h"
 #include "support/check.h"
 
 namespace locald::local {
-
-std::vector<Verdict> run_message_passing(const MessagePassingAlgorithm& alg,
-                                         const LabeledGraph& g,
-                                         const IdAssignment* ids) {
-  if (ids != nullptr) {
-    LOCALD_CHECK(ids->node_count() == g.node_count(),
-                 "identifier assignment size mismatch");
-  }
-  const graph::NodeId n = g.node_count();
-  std::vector<std::string> state(static_cast<std::size_t>(n));
-  for (graph::NodeId v = 0; v < n; ++v) {
-    NodeView view;
-    view.label = g.label(v);
-    if (ids != nullptr) {
-      view.id = ids->of(v);
-    }
-    view.degree = g.graph().degree(v);
-    state[static_cast<std::size_t>(v)] = alg.init(view);
-  }
-  for (int round = 0; round < alg.rounds(); ++round) {
-    std::vector<std::string> outgoing(static_cast<std::size_t>(n));
-    for (graph::NodeId v = 0; v < n; ++v) {
-      outgoing[static_cast<std::size_t>(v)] =
-          alg.message(state[static_cast<std::size_t>(v)], round);
-    }
-    std::vector<std::string> next(static_cast<std::size_t>(n));
-    for (graph::NodeId v = 0; v < n; ++v) {
-      std::vector<std::string> inbox;
-      inbox.reserve(g.graph().neighbors(v).size());
-      for (graph::NodeId w : g.graph().neighbors(v)) {
-        inbox.push_back(outgoing[static_cast<std::size_t>(w)]);
-      }
-      next[static_cast<std::size_t>(v)] =
-          alg.update(state[static_cast<std::size_t>(v)], inbox, round);
-    }
-    state = std::move(next);
-  }
-  std::vector<Verdict> out;
-  out.reserve(static_cast<std::size_t>(n));
-  for (graph::NodeId v = 0; v < n; ++v) {
-    out.push_back(alg.output(state[static_cast<std::size_t>(v)]));
-  }
-  return out;
-}
 
 namespace {
 
@@ -209,36 +165,21 @@ Ball ball_from_knowledge(Id self, const Knowledge& k, int radius) {
   return ball;
 }
 
-std::string FullInfoGather::name() const {
-  return "full-info(" + inner_->name() + ")";
-}
-
-std::string FullInfoGather::init(const NodeView& view) const {
-  LOCALD_CHECK(view.id.has_value(),
-               "full-information gathering uses ids as transport addresses");
+std::string FullInfoGather::init(Id self, const Label& label) const {
   Knowledge k;
-  KnownNode self;
-  self.id = *view.id;
-  self.label = view.label;
-  k.emplace(self.id, self);
-  return encode_knowledge(self.id, k);
+  k.emplace(self, KnownNode{self, label, {}});
+  return encode_knowledge(self, k);
 }
 
-std::string FullInfoGather::message(const std::string& state,
-                                    int /*round*/) const {
-  return state;
-}
-
-std::string FullInfoGather::update(const std::string& state,
-                                   const std::vector<std::string>& inbox,
-                                   int /*round*/) const {
+std::string FullInfoGather::update(
+    const std::string& state, const std::vector<std::string>& inbox) const {
   auto [self, knowledge] = decode_knowledge(state);
   std::vector<Id> neighbor_ids;
   for (const std::string& msg : inbox) {
     if (msg.empty()) {
-      // A lost message (event engine, faulty profiles): this round taught
-      // us nothing about that port. Knowledge merging is a union, so a
-      // neighbour heard in any other round still lands in the adjacency.
+      // A lost message (faulty profiles): this round taught us nothing
+      // about that port. Knowledge merging is a union, so a neighbour heard
+      // in any other round still lands in the adjacency.
       continue;
     }
     auto [sender, their] = decode_knowledge(msg);
@@ -248,55 +189,22 @@ std::string FullInfoGather::update(const std::string& state,
   // Learning who the senders are completes this node's own adjacency.
   std::sort(neighbor_ids.begin(), neighbor_ids.end());
   Knowledge own;
-  KnownNode me = knowledge.at(self);
-  me.adj = neighbor_ids;
-  own.emplace(self, std::move(me));
+  own.emplace(self, KnownNode{self, knowledge.at(self).label, neighbor_ids});
   merge_into(knowledge, own);
   return encode_knowledge(self, knowledge);
 }
 
-Verdict FullInfoGather::output(const std::string& state) const {
-  auto [self, knowledge] = decode_knowledge(state);
-  const Ball ball = ball_from_knowledge(self, knowledge, inner_->horizon());
-  BallView view = ball.view();
-  if (inner_->id_oblivious()) {
-    view = view.without_ids();
-  }
-  return inner_->evaluate(view);
+Ball FullInfoGather::ball(const std::string& state) const {
+  const auto [self, knowledge] = decode_knowledge(state);
+  return ball_from_knowledge(self, knowledge, horizon_);
 }
 
 std::vector<Verdict> run_via_message_passing(const LocalAlgorithm& alg,
                                              const LabeledGraph& g,
                                              const IdAssignment& ids) {
-  // t + 1 rounds assemble the exact induced radius-t ball (the paper's
-  // "t ± 1 rounds" equivalence): edges between two distance-t nodes are only
-  // reported after those nodes learned their own adjacency in round 1.
-  class Wrapper final : public MessagePassingAlgorithm {
-   public:
-    explicit Wrapper(const LocalAlgorithm& inner) : gather_(inner), inner_(&inner) {}
-    std::string name() const override { return gather_.name(); }
-    int rounds() const override { return inner_->horizon() + 1; }
-    std::string init(const NodeView& v) const override {
-      return gather_.init(v);
-    }
-    std::string message(const std::string& s, int r) const override {
-      return gather_.message(s, r);
-    }
-    std::string update(const std::string& s,
-                       const std::vector<std::string>& inbox,
-                       int r) const override {
-      return gather_.update(s, inbox, r);
-    }
-    Verdict output(const std::string& s) const override {
-      return gather_.output(s);
-    }
-
-   private:
-    FullInfoGather gather_;
-    const LocalAlgorithm* inner_;
-  };
-  Wrapper wrapper(alg);
-  return run_message_passing(wrapper, g, &ids);
+  return run_via_event_engine(alg, g, ids, resolve_faults_text("none"),
+                              /*seed=*/0)
+      .verdicts;
 }
 
 }  // namespace locald::local

@@ -1,25 +1,28 @@
-// Synchronous message-passing view of the LOCAL model.
+// Full-information gathering: the message-passing view of the LOCAL model.
 //
 // Section 1.2 notes that a local algorithm with horizon t is equivalent to a
 // distributed algorithm running t (± 1) synchronous rounds: nodes exchange
-// unbounded messages with neighbours, then output. This module provides
-// that networked-state-machine view and the bridge in both directions:
+// unbounded messages with neighbours, then output. This module provides the
+// protocol behind that equivalence:
 //
-//  - `MessagePassingAlgorithm`: write an algorithm as init/message/update/
-//    output; the engine runs the rounds.
-//  - `FullInfoGather`: the canonical t-round algorithm that floods
-//    (id, label, adjacency) knowledge, reconstructs (G, x, Id) |` B(v, t)
-//    exactly, and delegates to any `LocalAlgorithm`. Tests assert it
-//    reproduces direct ball evaluation verbatim — the equivalence the paper
-//    appeals to.
+//  - `FullInfoGather`: the canonical flooding protocol. Each node floods
+//    (id, label, adjacency) knowledge for horizon + 1 rounds, then
+//    reconstructs (G, x, Id) |` B(v, t) exactly from what it heard.
+//  - The knowledge codec and `ball_from_knowledge`, the protocol's payload
+//    and its output step.
 //
-// The engine uses identifiers as transport addresses during flooding. For an
-// Id-oblivious inner algorithm the reconstructed ball is stripped before
+// One runtime drives the protocol: the event engine (local/event_engine.h).
+// Under its `none` profile every message arrives in its synchronous slot, so
+// the run IS the paper's lockstep rounds; `run_via_message_passing` names
+// that case. Tests assert it reproduces direct ball evaluation verbatim —
+// the equivalence the paper appeals to.
+//
+// The protocol uses identifiers as transport addresses during flooding. For
+// an Id-oblivious algorithm the reconstructed ball is stripped before
 // evaluation, so obliviousness remains framework-enforced.
 #pragma once
 
 #include <map>
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -27,35 +30,6 @@
 #include "local/labeled_graph.h"
 
 namespace locald::local {
-
-struct NodeView {
-  Label label;
-  std::optional<Id> id;
-  int degree = 0;
-};
-
-class MessagePassingAlgorithm {
- public:
-  virtual ~MessagePassingAlgorithm() = default;
-
-  virtual std::string name() const = 0;
-  virtual int rounds() const = 0;
-
-  virtual std::string init(const NodeView& view) const = 0;
-  // Message broadcast to all neighbours this round (LOCAL: unbounded size).
-  virtual std::string message(const std::string& state, int round) const = 0;
-  // Inbox is ordered by neighbour port (ascending node index) — the engine
-  // hides raw indices from the algorithm otherwise.
-  virtual std::string update(const std::string& state,
-                             const std::vector<std::string>& inbox,
-                             int round) const = 0;
-  virtual Verdict output(const std::string& state) const = 0;
-};
-
-// Runs `rounds()` synchronous rounds; `ids` may be null for anonymous runs.
-std::vector<Verdict> run_message_passing(const MessagePassingAlgorithm& alg,
-                                         const LabeledGraph& g,
-                                         const IdAssignment* ids);
 
 // What one node knows about another after flooding.
 struct KnownNode {
@@ -76,26 +50,35 @@ std::pair<Id, Knowledge> decode_knowledge(const std::string& payload);
 // Only information actually contained in the knowledge map is used.
 Ball ball_from_knowledge(Id self, const Knowledge& k, int radius);
 
-// Full-information algorithm wrapping an inner `LocalAlgorithm`.
-class FullInfoGather final : public MessagePassingAlgorithm {
+// The flooding protocol for one horizon. A node's state is its knowledge
+// in wire form, `encode_knowledge(self, k)`, which is also the message it
+// broadcasts each round; the compact form keeps a large flood's memory
+// down. The result depends on the horizon only, never on which algorithm
+// later decides on the gathered ball.
+class FullInfoGather {
  public:
-  explicit FullInfoGather(const LocalAlgorithm& inner) : inner_(&inner) {}
+  explicit FullInfoGather(int horizon) : horizon_(horizon) {}
 
-  std::string name() const override;
-  int rounds() const override { return inner_->horizon(); }
-  std::string init(const NodeView& view) const override;
-  std::string message(const std::string& state, int round) const override;
+  int horizon() const { return horizon_; }
+  // t + 1 rounds assemble the exact induced radius-t ball (the paper's
+  // "t ± 1 rounds" equivalence): edges between two distance-t nodes are
+  // only reported after those nodes learned their own adjacency in round 1.
+  int rounds() const { return horizon_ + 1; }
+
+  std::string init(Id self, const Label& label) const;
+  // Merges one round's inbox, one payload per port in port order. An empty
+  // payload is a lost message: that port taught nothing this round.
   std::string update(const std::string& state,
-                     const std::vector<std::string>& inbox,
-                     int round) const override;
-  Verdict output(const std::string& state) const override;
+                     const std::vector<std::string>& inbox) const;
+  Ball ball(const std::string& state) const;
 
  private:
-  const LocalAlgorithm* inner_;
+  int horizon_;
 };
 
-// Convenience: run `alg` through the message-passing engine. Produces the
-// same outputs as run_local_algorithm (tested equivalence).
+// `alg` through clean lockstep flooding: the event engine under the `none`
+// profile. Produces the same outputs as run_local_algorithm (tested
+// equivalence).
 std::vector<Verdict> run_via_message_passing(const LocalAlgorithm& alg,
                                              const LabeledGraph& g,
                                              const IdAssignment& ids);

@@ -2,6 +2,7 @@
 
 #include <arpa/inet.h>
 #include <netinet/in.h>
+#include <netinet/tcp.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
@@ -356,6 +357,12 @@ void Server::accept_loop() {
     // must time out instead of pinning a worker in send() forever (which
     // would also wedge stop()'s join).
     ::setsockopt(fd, SOL_SOCKET, SO_SNDTIMEO, &tv, sizeof(tv));
+    // Responses go out as several small writes (a head, then one chunk per
+    // finished sweep cell). Without TCP_NODELAY, Nagle holds each write
+    // until the previous one is ACKed, and the client's delayed ACK turns
+    // that into a ~40 ms stall per streamed response.
+    const int nodelay = 1;
+    ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &nodelay, sizeof(nodelay));
 
     bool shed = false;
     {

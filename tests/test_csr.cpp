@@ -251,8 +251,9 @@ TEST(CsrCensus, EncodingsMatchPerBallCanonicalForm) {
       const BallSlice slice = scratch.extract(g, v, 2);
       // Centre-marked payloads, matching the census's "C"/"N" scheme.
       std::vector<std::string> marked(
-          static_cast<std::size_t>(slice.local.node_count()), "N");
-      marked[0] = "C";
+          static_cast<std::size_t>(slice.local.node_count()),
+          std::string(1, 'N'));
+      marked[0].front() = 'C';
       EXPECT_EQ(canonical_form(slice.local, marked).encoding,
                 census.encoding_of(v))
           << family.name << " node " << v;

@@ -3,8 +3,9 @@
 // The engine's two promises, tested head-on:
 //  1. Equivalence: under the `none` control profile — and under any profile
 //     that perturbs timing without losing information (delay, fragmentation)
-//     — the event-driven execution reproduces the synchronous engine's
-//     verdicts exactly, on every topology tried.
+//     — the event-driven execution reproduces direct ball evaluation's
+//     verdicts exactly, on every topology tried. One flood decided by
+//     several algorithms gives each exactly its single-algorithm run.
 //  2. Determinism: verdicts AND schedule statistics are pure functions of
 //     (graph, algorithm, profile, seed); repeat runs agree field for field,
 //     and different seeds reshuffle faulty schedules without touching the
@@ -20,7 +21,7 @@
 #include "local/fault_profile.h"
 #include "local/identifiers.h"
 #include "local/labeled_graph.h"
-#include "local/sync_engine.h"
+#include "local/simulator.h"
 
 namespace locald::local {
 namespace {
@@ -56,7 +57,7 @@ std::vector<graph::CsrGraph> topologies() {
   return out;
 }
 
-TEST(EventEngine, NoneProfileReproducesSyncEngineEverywhere) {
+TEST(EventEngine, NoneProfileReproducesDirectEvaluationEverywhere) {
   const auto control = resolve_faults_text("none");
   const auto alg = even_degree();
   const auto tri = triangle_free();
@@ -64,11 +65,11 @@ TEST(EventEngine, NoneProfileReproducesSyncEngineEverywhere) {
     const LabeledGraph instance(g);
     const IdAssignment ids = make_consecutive(g.node_count());
     for (const LocalAlgorithm* a : {alg.get(), tri.get()}) {
-      const std::vector<Verdict> sync =
-          run_via_message_passing(*a, instance, ids);
+      const std::vector<Verdict> direct = run_oblivious(*a, instance).outputs;
       const EventRunResult event =
           run_via_event_engine(*a, instance, ids, control, 42);
-      EXPECT_EQ(event.verdicts, sync) << a->name() << " on n=" << g.node_count();
+      EXPECT_EQ(event.verdicts, direct)
+          << a->name() << " on n=" << g.node_count();
       EXPECT_EQ(event.stats.messages_dropped, 0u);
       EXPECT_EQ(event.stats.messages_delayed, 0u);
       EXPECT_EQ(event.stats.fragments_sent, 0u);
@@ -78,8 +79,8 @@ TEST(EventEngine, NoneProfileReproducesSyncEngineEverywhere) {
 }
 
 // Delay and fragmentation perturb the schedule, never the information: the
-// α-synchronizer waits out every slot, so verdicts still match the sync
-// engine even though messages arrive late and in pieces.
+// α-synchronizer waits out every slot, so verdicts still match direct
+// evaluation even though messages arrive late and in pieces.
 TEST(EventEngine, LosslessProfilesPreserveVerdicts) {
   const auto alg = even_degree();
   for (const char* selector :
@@ -88,15 +89,58 @@ TEST(EventEngine, LosslessProfilesPreserveVerdicts) {
     for (const graph::CsrGraph& g : topologies()) {
       const LabeledGraph instance(g);
       const IdAssignment ids = make_consecutive(g.node_count());
-      const std::vector<Verdict> sync =
-          run_via_message_passing(*alg, instance, ids);
+      const std::vector<Verdict> direct =
+          run_oblivious(*alg, instance).outputs;
       const EventRunResult event =
           run_via_event_engine(*alg, instance, ids, profile, 7);
-      EXPECT_EQ(event.verdicts, sync)
+      EXPECT_EQ(event.verdicts, direct)
           << selector << " on n=" << g.node_count();
       EXPECT_EQ(event.stats.messages_dropped, 0u) << selector;
     }
   }
+}
+
+// The gathered knowledge depends on the horizon, never on the algorithm,
+// and the schedule never on the payload: one flood decided by a panel gives
+// each algorithm exactly its single-algorithm verdicts, with an identical
+// schedule — clean and lossy alike.
+TEST(EventEngine, OneFloodDecidesEveryAlgorithmAsItsOwnRunWould) {
+  const auto even = even_degree();
+  const auto tri = triangle_free();
+  const auto big_id = make_id_aware("big-id", 1, [](const BallView& b) {
+    for (graph::NodeId v = 0; v < b.node_count(); ++v) {
+      if (b.id_of(v) > 8) return Verdict::no;
+    }
+    return Verdict::yes;
+  });
+  const std::vector<const LocalAlgorithm*> algs{even.get(), tri.get(),
+                                                big_id.get()};
+  for (const char* selector :
+       {"none", "chaos:delay=3,per-mille=400,attempts=2,pieces=3"}) {
+    const auto profile = resolve_faults_text(selector);
+    for (const graph::CsrGraph& g : topologies()) {
+      const LabeledGraph instance(g);
+      const IdAssignment ids = make_consecutive(g.node_count());
+      const FloodResult flood = run_flood(algs, instance, ids, profile, 9);
+      ASSERT_EQ(flood.verdicts.size(), algs.size());
+      for (std::size_t a = 0; a < algs.size(); ++a) {
+        const EventRunResult single =
+            run_via_event_engine(*algs[a], instance, ids, profile, 9);
+        EXPECT_EQ(flood.verdicts[a], single.verdicts)
+            << selector << ", " << algs[a]->name() << " on n="
+            << g.node_count();
+        EXPECT_TRUE(flood.stats == single.stats) << selector;
+      }
+    }
+  }
+  // One flood serves one horizon.
+  const auto wide = make_oblivious("wide", 2, [](const BallView&) {
+    return Verdict::yes;
+  });
+  const LabeledGraph cycle(graph::make_cycle(5));
+  EXPECT_THROW(run_flood({even.get(), wide.get()}, cycle,
+                         make_consecutive(5), resolve_faults_text("none"), 1),
+               Error);
 }
 
 TEST(EventEngine, RepeatRunsAgreeVerbatimIncludingStats) {
@@ -124,16 +168,15 @@ TEST(EventEngine, HeavyLossPerturbsVerdictsButNeverWedges) {
   const auto alg = even_degree();
   const LabeledGraph instance(graph::make_cycle(10));
   const IdAssignment ids = make_consecutive(instance.node_count());
-  const std::vector<Verdict> sync =
-      run_via_message_passing(*alg, instance, ids);
+  const std::vector<Verdict> direct = run_oblivious(*alg, instance).outputs;
   const auto lossy = resolve_faults_text("drop:per-mille=900,attempts=1");
   const EventRunResult faulty =
       run_via_event_engine(*alg, instance, ids, lossy, 42);
   // Every node still terminates and outputs...
-  ASSERT_EQ(faulty.verdicts.size(), sync.size());
+  ASSERT_EQ(faulty.verdicts.size(), direct.size());
   // ...but with 90% loss some node must have missed a neighbour and seen an
   // undersized ball.
-  EXPECT_NE(faulty.verdicts, sync);
+  EXPECT_NE(faulty.verdicts, direct);
   EXPECT_GT(faulty.stats.messages_dropped, 0u);
 }
 

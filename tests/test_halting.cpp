@@ -4,6 +4,9 @@
 // Corollary-1 randomized decider, and the promise problem.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
+#include "exec/thread_pool.h"
 #include "graph/generators.h"
 #include "graph/pyramid.h"
 #include "halting/analysis.h"
@@ -305,6 +308,62 @@ TEST(PromiseHalting, DeciderAndCandidates) {
   const LabeledGraph no_fast =
       build_promise_halting_instance(tm::halt_after(3, 0), 12);
   EXPECT_FALSE(local::run_oblivious(*candidate, no_fast).accepted);
+}
+
+// Pool threads evaluating a fresh verifier all miss its per-machine memo at
+// once. The memo must build each machine's context exactly once and serve
+// it read-only afterwards: verdicts equal the serial run's, and nothing is
+// torn or leaked (the sanitizer build runs this too). Besides a genuine
+// G(M, r), the instance carries isolated decoy nodes naming thousands of
+// distinct machines, so the workers also insert into the memo concurrently.
+TEST(Verifier, ConcurrentEvaluationMatchesSerial) {
+  const GmrParams params = make_params(tm::halt_after(2, 0), 60);
+  const GmrInstance inst = build_gmr(params);
+  // The decoys' machine is the non-halting bouncer, spelled differently
+  // each time: the decoder reads any move field other than 1 as "left", so
+  // rewriting one left move gives a distinct encoding of the same machine.
+  // Each costs the memo a cheap build (the machine never halts) and an
+  // insert.
+  const std::vector<std::int64_t> bouncer = tm::bouncer().encode();
+  std::size_t left_move = 0;
+  for (std::size_t f = 4; f < bouncer.size() && left_move == 0; f += 3) {
+    if (bouncer[f] != 1) left_move = f;
+  }
+  ASSERT_NE(left_move, 0u);
+  constexpr graph::NodeId kDecoys = 2000;
+  const graph::NodeId n = inst.graph.node_count();
+  graph::GraphBuilder builder(n + kDecoys);
+  for (const auto& [u, v] : inst.graph.graph().edges()) {
+    builder.add_edge(u, v);
+  }
+  std::vector<local::Label> labels;
+  for (graph::NodeId v = 0; v < n; ++v) {
+    labels.push_back(inst.graph.label(v));
+  }
+  for (graph::NodeId i = 0; i < kDecoys; ++i) {
+    std::vector<std::int64_t> fields{
+        inst.graph.label(0).fields().begin(),
+        inst.graph.label(0).fields().begin() + 6};  // the (r, cell) header
+    fields.insert(fields.end(), bouncer.begin(), bouncer.end());
+    fields[6 + left_move] = -1 - static_cast<std::int64_t>(i);
+    labels.emplace_back(std::move(fields));
+  }
+  const LabeledGraph g(builder.build(), std::move(labels));
+
+  const auto serial_verifier =
+      make_gmr_verifier(3, params.policy, false, params.step_budget);
+  const local::RunResult serial = local::run_oblivious(*serial_verifier, g);
+  ASSERT_TRUE(std::all_of(serial.outputs.begin(),
+                          serial.outputs.begin() + n,
+                          [](Verdict x) { return x == Verdict::yes; }));
+  exec::ThreadPool pool(8);
+  for (int rep = 0; rep < 8; ++rep) {
+    const auto verifier =
+        make_gmr_verifier(3, params.policy, false, params.step_budget);
+    const local::RunResult parallel =
+        local::run_oblivious(*verifier, g, {.exec = {.pool = &pool}});
+    EXPECT_EQ(parallel.outputs, serial.outputs) << "repetition " << rep;
+  }
 }
 
 class ZooVerifierSweep : public ::testing::TestWithParam<int> {};

@@ -10,6 +10,7 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdio>
@@ -660,6 +661,49 @@ TEST(ServerSocket, StreamedSweepChunksReassembleToTheBufferedDocument) {
     EXPECT_EQ(buffered.body, reference) << "threads=" << threads;
     server.stop();
   }
+}
+
+// A streamed response is several small writes: the head, then one chunk
+// per flush boundary. With Nagle's algorithm on, each write after the first
+// waits for the previous one's ACK, and on a keep-alive connection the
+// client delays that ACK (~40 ms on Linux) — so every streamed sweep after
+// the first stalled. TCP_NODELAY on accepted sockets removes the stall.
+TEST(ServerSocket, KeepAliveStreamedSweepsAreNotStalledByNagle) {
+  Server server{test_options()};
+  server.start();
+  const std::string body =
+      R"({"scenario": "promise-cycle", "sizes": [6, 8, 10], "trials": 1})";
+  const std::string keep_alive_post =
+      "POST /v1/sweep HTTP/1.1\r\nHost: t\r\nContent-Length: " +
+      std::to_string(body.size()) + "\r\n\r\n" + body;
+  const int fd = connect_to(server.port());
+  double fastest_ms = 1e9;
+  for (int i = 0; i < 6; ++i) {
+    const auto start = std::chrono::steady_clock::now();
+    send_raw(fd, keep_alive_post);
+    // Read up to the terminating zero-length chunk; the connection stays
+    // open for the next request.
+    std::string raw;
+    char buf[4096];
+    while (raw.find("\r\n\r\n") == std::string::npos ||
+           !raw.ends_with("\r\n0\r\n\r\n")) {
+      const ssize_t n = ::recv(fd, buf, sizeof(buf), 0);
+      ASSERT_GT(n, 0) << "request " << i;
+      raw.append(buf, static_cast<std::size_t>(n));
+    }
+    const double ms = std::chrono::duration<double, std::milli>(
+                          std::chrono::steady_clock::now() - start)
+                          .count();
+    const StreamedResponse streamed = decode_chunked(raw);
+    ASSERT_EQ(streamed.status, 200);
+    ASSERT_GE(streamed.chunks.size(), 4u);
+    // The first request on a connection is answered in quick-ACK mode, so
+    // only the later ones show the stall.
+    if (i > 0) fastest_ms = std::min(fastest_ms, ms);
+  }
+  ::close(fd);
+  server.stop();
+  EXPECT_LT(fastest_ms, 20.0);
 }
 
 TEST(ServerSocket, StreamedSweepValidationFailuresAnswerBuffered) {

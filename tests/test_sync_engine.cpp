@@ -1,9 +1,12 @@
 // Tests for the message-passing view of LOCAL: knowledge serialization,
-// flooding, ball reconstruction, and the equivalence between t-round
-// message passing and direct ball evaluation.
+// ball reconstruction, and the equivalence between t + 1 rounds of clean
+// full-information flooding — the event engine under the `none` profile —
+// and direct ball evaluation.
 #include <gtest/gtest.h>
 
 #include "graph/generators.h"
+#include "local/event_engine.h"
+#include "local/fault_profile.h"
 #include "local/simulator.h"
 #include "local/sync_engine.h"
 #include "props/properties.h"
@@ -73,13 +76,16 @@ TEST(Knowledge, ReconstructionIgnoresNodesBeyondRadius) {
 }
 
 // The headline equivalence: running any local algorithm through t+1 rounds
-// of full-information flooding produces exactly the per-node outputs of
-// direct ball evaluation.
+// of clean full-information flooding produces exactly the per-node outputs
+// of direct ball evaluation, the independent reference.
 void expect_equivalence(const LocalAlgorithm& alg, const LabeledGraph& g,
                         const IdAssignment& ids) {
   const RunResult direct = run_local_algorithm(alg, g, ids);
-  const std::vector<Verdict> via_mp = run_via_message_passing(alg, g, ids);
-  EXPECT_EQ(direct.outputs, via_mp) << alg.name();
+  const EventRunResult flood =
+      run_via_event_engine(alg, g, ids, resolve_faults_text("none"), 42);
+  EXPECT_EQ(flood.verdicts, direct.outputs) << alg.name();
+  EXPECT_EQ(run_via_message_passing(alg, g, ids), direct.outputs)
+      << alg.name();
 }
 
 TEST(Equivalence, ColoringDeciderOnCycle) {
