@@ -64,14 +64,6 @@ int main() {
   options.id_universe = 1 << 16;
   options.max_assignments = 2'000;
   const auto sim = oblivious::make_oblivious_simulation(reading, options);
-  // A* opts out of memoization in general (sampled-mode verdicts can depend
-  // on ball numbering), but this inner never reads its ids, so the composite
-  // is genuinely a pure function of the canonical class. Wrapping it in a
-  // LambdaAlgorithm — which is memoization-safe by default — is the idiom
-  // for asserting that.
-  const auto wrapped = local::make_oblivious(
-      "A*-degree-check-classpure", 1,
-      [&](const local::BallView& ball) { return sim->evaluate(ball); });
   const local::LabeledGraph cycle =
       local::LabeledGraph::uniform(graph::make_cycle(64), local::Label{});
 
@@ -79,14 +71,14 @@ int main() {
   {
     exec::ExecContext plain;
     const double ms =
-        wall_ms([&] { (void)local::run_oblivious(*wrapped, cycle, {plain}); });
+        wall_ms([&] { (void)local::run_oblivious(*sim, cycle, {plain}); });
     memo.add_row({"unmemoized", fixed(ms, 1), "-", "-"});
   }
   {
     exec::VerdictCache cache;
     exec::ExecContext memoized{nullptr, &cache};
     const double ms =
-        wall_ms([&] { (void)local::run_oblivious(*wrapped, cycle, {memoized}); });
+        wall_ms([&] { (void)local::run_oblivious(*sim, cycle, {memoized}); });
     const auto stats = cache.stats();
     memo.add_row({"memoized", fixed(ms, 1), cat(stats.hits),
                   cat(stats.entries)});

@@ -30,15 +30,6 @@ class LocalAlgorithm {
   virtual int horizon() const = 0;
   virtual bool id_oblivious() const = 0;
 
-  // May the execution engine memoize this algorithm's verdicts per
-  // canonical ball class (exec/verdict_cache.h)? True requires the verdict
-  // to be a pure function of the ball's canonical encoding — deterministic
-  // and invariant under ball-node renumbering. Algorithms whose answer can
-  // depend on the concrete node numbering (e.g. the sampled Id-oblivious
-  // simulation, which applies candidate id lists by node index) must
-  // override this to false; the simulator then bypasses the cache.
-  virtual bool memoization_safe() const { return true; }
-
   // `ball` has ids stripped iff id_oblivious().
   virtual Verdict evaluate(const BallView& ball) const = 0;
 };

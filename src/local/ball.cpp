@@ -4,7 +4,6 @@
 
 #include "graph/algorithms.h"
 #include "graph/induced.h"
-#include "graph/isomorphism.h"
 #include "support/hash.h"
 
 namespace locald::local {
@@ -30,7 +29,7 @@ BallView BallView::with_ids(const std::vector<Id>& new_ids) const {
   return out;
 }
 
-std::string BallView::canonical_encoding() const {
+graph::CanonicalForm BallView::canonical_form() const {
   std::vector<std::string> payloads;
   payloads.reserve(static_cast<std::size_t>(g.node_count()));
   for (graph::NodeId v = 0; v < g.node_count(); ++v) {
@@ -42,13 +41,10 @@ std::string BallView::canonical_encoding() const {
     }
     payloads.push_back(std::move(p));
   }
-  std::string enc = "r=" + std::to_string(radius) + ";";
-  enc += graph::canonical_form(g, payloads).encoding;
-  return enc;
-}
-
-std::uint64_t BallView::canonical_fingerprint() const {
-  return hash_string(canonical_encoding());
+  graph::CanonicalForm form = graph::canonical_form(g, payloads);
+  form.encoding.insert(0, "r=" + std::to_string(radius) + ";");
+  form.fingerprint = hash_string(form.encoding);
+  return form;
 }
 
 Ball Ball::without_ids() const {

@@ -34,6 +34,7 @@
 
 #include "graph/ball_slice.h"
 #include "graph/csr.h"
+#include "graph/isomorphism.h"
 #include "local/identifiers.h"
 #include "local/label.h"
 #include "local/labeled_graph.h"
@@ -95,9 +96,14 @@ struct BallView {
   // caller keeps the vector alive (and unmoved) for the view's lifetime.
   BallView with_ids(const std::vector<Id>& new_ids) const;
 
-  // Complete invariant; see file comment.
-  std::string canonical_encoding() const;
-  std::uint64_t canonical_fingerprint() const;
+  // The ball's one canonicalization: `order[k]` is the ball node at
+  // canonical position k, `encoding` the complete invariant (see file
+  // comment, prefixed with "r=<radius>;") and `fingerprint` its hash.
+  graph::CanonicalForm canonical_form() const;
+  std::string canonical_encoding() const { return canonical_form().encoding; }
+  std::uint64_t canonical_fingerprint() const {
+    return canonical_form().fingerprint;
+  }
 };
 
 // Owning ball. Public members mirror the legacy struct so direct

@@ -3,7 +3,6 @@
 #include <atomic>
 
 #include "obs/trace.h"
-#include "support/hash.h"
 
 namespace locald::local {
 
@@ -28,21 +27,18 @@ constexpr graph::NodeId kMemoBallCap = 256;
 // Evaluate through the memoization cache when one is wired up. The cache key
 // is the ball's full canonical encoding (the fingerprint only picks the
 // shard), so a fingerprint collision can never smuggle in a wrong verdict.
-// Hashing the already-computed encoding equals canonical_fingerprint() by
-// definition while canonicalizing only once.
 Verdict decide_ball(const LocalAlgorithm& alg, const std::string& alg_name,
                     const BallView& ball, exec::VerdictCache* cache) {
-  if (cache == nullptr || !alg.memoization_safe() ||
-      ball.node_count() > kMemoBallCap) {
+  if (cache == nullptr || ball.node_count() > kMemoBallCap) {
     return alg.evaluate(ball);
   }
-  const std::string encoding = ball.canonical_encoding();
-  const std::uint64_t fingerprint = hash_string(encoding);
-  if (const auto hit = cache->lookup(fingerprint, alg_name, encoding)) {
+  const graph::CanonicalForm form = ball.canonical_form();
+  const auto hit = cache->lookup(form.fingerprint, alg_name, form.encoding);
+  if (hit) {
     return *hit ? Verdict::yes : Verdict::no;
   }
   const Verdict out = alg.evaluate(ball);
-  cache->insert(fingerprint, alg_name, encoding, out == Verdict::yes);
+  cache->insert(form.fingerprint, alg_name, form.encoding, out == Verdict::yes);
   return out;
 }
 

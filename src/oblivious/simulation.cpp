@@ -76,7 +76,8 @@ ObliviousSimulation::ObliviousSimulation(
 }
 
 std::string ObliviousSimulation::name() const {
-  return cat("A*(", inner_->name(), ")");
+  return cat("A*(", inner_->name(), ";u=", options_.id_universe, ";n=",
+             options_.max_assignments, ";s=", options_.seed, ")");
 }
 
 Verdict ObliviousSimulation::evaluate(const BallView& ball) const {
@@ -85,7 +86,6 @@ Verdict ObliviousSimulation::evaluate(const BallView& ball) const {
                "id universe smaller than the ball");
   const exec::ExecContext ctx{options_.pool, nullptr};
   SimulationStats stats;
-  std::string encoding;  // set in exhaustive mode; keys the verdict memo
   std::atomic<bool> rejected{false};
   std::atomic<std::size_t> tried{0};
 
@@ -93,22 +93,6 @@ Verdict ObliviousSimulation::evaluate(const BallView& ball) const {
       injection_count(options_.id_universe, b, options_.max_assignments);
   if (total <= options_.max_assignments) {
     stats.exhaustive = true;
-    // An exhaustive verdict quantifies over EVERY injection, so it is a
-    // pure function of the ball's isomorphism class — memoize it per
-    // canonical encoding (the class-keyed route through the
-    // canonicalization engine; sampled mode below must stay unmemoized,
-    // see memoization_safe()). A hit skips the whole enumeration.
-    encoding = ball.canonical_encoding();
-    {
-      std::lock_guard<std::mutex> lk(memo_mu_);
-      const auto hit = exhaustive_memo_.find(encoding);
-      if (hit != exhaustive_memo_.end()) {
-        stats.memo_hit = true;
-        std::lock_guard<std::mutex> sk(stats_mu_);
-        stats_ = stats;
-        return hit->second ? Verdict::no : Verdict::yes;
-      }
-    }
     // Enumeration fanned out over the centre slot's id: every branch owns
     // its chosen/used scratch, so branches are independent. The exhaustive
     // path only triggers for small universes (the injection count fits the
@@ -137,16 +121,22 @@ Verdict ObliviousSimulation::evaluate(const BallView& ball) const {
     // Candidate i is drawn from counter stream (seed ^ fingerprint, i), so
     // the candidate set — and with it the exists-verdict — is fixed before
     // any thread runs; scheduling only affects which candidates get skipped
-    // after the first rejecting one is found.
-    const std::uint64_t stream_seed =
-        options_.seed ^ ball.canonical_fingerprint();
+    // after the first rejecting one is found. Candidate id k goes to the
+    // ball node at canonical position k, which makes the verdict a function
+    // of the ball's class rather than of its node numbering.
+    const graph::CanonicalForm form = ball.canonical_form();
+    const std::uint64_t stream_seed = options_.seed ^ form.fingerprint;
     ctx.for_each(options_.max_assignments, [&](std::size_t i) {
       if (rejected.load(std::memory_order_relaxed)) {
         return;
       }
       Rng rng = Rng::stream(stream_seed, i);
-      const auto ids = rng.sample_distinct(options_.id_universe,
-                                           static_cast<std::size_t>(b));
+      const auto drawn = rng.sample_distinct(options_.id_universe,
+                                             static_cast<std::size_t>(b));
+      std::vector<Id> ids(drawn.size());
+      for (std::size_t k = 0; k < drawn.size(); ++k) {
+        ids[static_cast<std::size_t>(form.order[k])] = drawn[k];
+      }
       tried.fetch_add(1, std::memory_order_relaxed);
       if (inner_->evaluate(ball.with_ids(ids)) == Verdict::no) {
         rejected.store(true, std::memory_order_relaxed);
@@ -155,12 +145,6 @@ Verdict ObliviousSimulation::evaluate(const BallView& ball) const {
   }
 
   stats.assignments_tried = tried.load();
-  if (stats.exhaustive) {
-    std::lock_guard<std::mutex> lk(memo_mu_);
-    // Concurrent misses of the same class insert the same verdict (the
-    // enumeration is exhaustive), so last-writer-wins is harmless.
-    exhaustive_memo_[encoding] = rejected.load();
-  }
   {
     std::lock_guard<std::mutex> lk(stats_mu_);
     stats_ = stats;

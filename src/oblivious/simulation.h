@@ -12,12 +12,21 @@
 // as exhaustive enumeration when the injection count fits the budget and
 // as seeded random sampling otherwise; `id_universe` is the finite stand-in
 // for N.
+//
+// Every verdict is a function of the stripped ball's isomorphism class, as
+// the paper's A* is. Exhaustive mode quantifies over every injection.
+// Sampled mode draws its candidates from streams keyed by the canonical
+// fingerprint and gives candidate id k to the ball node at canonical
+// position k, so isomorphic balls numbered differently are probed with the
+// same effective assignments. The execution engine's `VerdictCache` may
+// therefore memoize A* like any other algorithm; `name()` carries every
+// option that changes a verdict, so one configuration's entries never
+// answer for another.
 #pragma once
 
 #include <memory>
 #include <mutex>
 #include <string>
-#include <unordered_map>
 
 #include "exec/thread_pool.h"
 #include "local/algorithm.h"
@@ -38,10 +47,10 @@ struct SimulationOptions {
 // Statistics of the most recent completed evaluation (exposed for the
 // experiments). When the same simulation object is evaluated from several
 // threads at once — e.g. under the parallel node loop — the snapshot is the
-// last evaluation to finish.
+// last evaluation to finish. A verdict answered by a `VerdictCache` never
+// reaches `evaluate`, so it leaves the snapshot untouched.
 struct SimulationStats {
   bool exhaustive = false;          // full injection enumeration used
-  bool memo_hit = false;            // answered from the exhaustive-mode memo
   std::size_t assignments_tried = 0;
 };
 
@@ -53,15 +62,6 @@ class ObliviousSimulation final : public local::LocalAlgorithm {
   std::string name() const override;
   int horizon() const override { return inner_->horizon(); }
   bool id_oblivious() const override { return true; }
-  // Sampled-mode verdicts are not invariant under ball-node renumbering:
-  // the candidate id lists are applied by node index, so two isomorphic
-  // balls with different numbering are probed with different effective
-  // assignments. Memoizing per canonical class would be unsound for an
-  // id-dependent inner algorithm. Exhaustive-mode verdicts, by contrast,
-  // quantify over EVERY injection, so they ARE class-invariant — the
-  // simulation memoizes those internally per canonical encoding (below)
-  // even though the external cache must stay off.
-  bool memoization_safe() const override { return false; }
 
   local::Verdict evaluate(const local::BallView& ball) const override;
 
@@ -75,13 +75,6 @@ class ObliviousSimulation final : public local::LocalAlgorithm {
   SimulationOptions options_;
   mutable std::mutex stats_mu_;
   mutable SimulationStats stats_;
-  // Exhaustive-mode verdict memo, keyed by the stripped ball's canonical
-  // encoding (graph/isomorphism.h): whether some injection rejects is a
-  // pure function of the ball's isomorphism class when every injection is
-  // enumerated, so a hit can never change a verdict — it only skips a
-  // full enumeration. Deterministic at any thread count for that reason.
-  mutable std::mutex memo_mu_;
-  mutable std::unordered_map<std::string, bool> exhaustive_memo_;
 };
 
 std::unique_ptr<ObliviousSimulation> make_oblivious_simulation(

@@ -2,9 +2,11 @@
 // streams, the parallel simulator entry points (bit-identical results at
 // any thread count), the ball-fingerprint memoization (memoized and
 // unmemoized runs agree — including on the re-enabled fig2-gmr verifier
-// path), the bulk canonicalization census (byte-identical encodings at
-// 1/2/8 threads on the families whose cells used to take the
-// degree-profile fallback), and the zero-trial acceptance-estimate guard.
+// path and on the Id-oblivious simulation A*, whose verdicts are invariant
+// under ball-node renumbering), the bulk canonicalization census
+// (byte-identical encodings at 1/2/8 threads on the families whose cells
+// used to take the degree-profile fallback), and the zero-trial
+// acceptance-estimate guard.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -185,40 +187,6 @@ TEST(CacheCorrectness, MemoizedAndUnmemoizedRunsAgree) {
   EXPECT_EQ(cached.outputs, direct.outputs);
 }
 
-TEST(CacheCorrectness, MemoizationUnsafeAlgorithmsBypassTheCache) {
-  // An algorithm that declares itself unsafe to memoize must be evaluated
-  // on every ball even when a cache is wired up.
-  class Unsafe final : public LocalAlgorithm {
-   public:
-    std::string name() const override { return "unsafe"; }
-    int horizon() const override { return 1; }
-    bool id_oblivious() const override { return true; }
-    bool memoization_safe() const override { return false; }
-    Verdict evaluate(const BallView&) const override {
-      ++evaluations;
-      return Verdict::yes;
-    }
-    mutable std::atomic<int> evaluations{0};
-  };
-  const LabeledGraph g = LabeledGraph::uniform(make_cycle(8), Label{});
-  Unsafe alg;
-  exec::VerdictCache cache;
-  exec::ExecContext memo{nullptr, &cache};
-  (void)run_oblivious(alg, g, {memo});
-  EXPECT_EQ(alg.evaluations.load(), 8);
-  const auto stats = cache.stats();
-  EXPECT_EQ(stats.hits + stats.misses, 0u);
-  // The Id-oblivious simulation A* is the shipped example of such an
-  // algorithm: sampled-mode verdicts can depend on ball-node numbering.
-  auto inner = std::make_shared<LambdaAlgorithm>(
-      "reads-ids", 1, false, [](const BallView& b) {
-        (void)b.center_id();
-        return Verdict::yes;
-      });
-  const auto sim = oblivious::make_oblivious_simulation(inner, {});
-  EXPECT_FALSE(sim->memoization_safe());
-}
-
 TEST(Determinism, ObliviousSimulationVerdictIndependentOfPool) {
   // Id-reading inner that rejects when the centre holds the largest id in
   // the ball: A* must find a rejecting assignment in both search modes.
@@ -323,9 +291,10 @@ TEST(CacheCorrectness, MemoizedAndUnmemoizedAgreeOnTheGmrVerifierPath) {
 }
 
 TEST(Determinism, ExhaustiveSimulationMemoNeverChangesTheVerdict) {
-  // A*'s exhaustive-mode verdicts are class-invariant and internally
-  // memoized; re-evaluating isomorphic balls must hit the memo and return
-  // the identical verdict, serial or pooled.
+  // A*'s exhaustive-mode verdicts quantify over every injection, so the
+  // shared cache may answer isomorphic balls: serial or pooled, memoized
+  // runs return the uncached verdicts, and the 12 isomorphic balls of the
+  // cycle are decided once.
   auto inner = std::make_shared<LambdaAlgorithm>(
       "center-max-rejects", 1, false, [](const BallView& ball) {
         const Id c = ball.center_id();
@@ -340,19 +309,100 @@ TEST(Determinism, ExhaustiveSimulationMemoNeverChangesTheVerdict) {
   options.id_universe = 6;
   options.max_assignments = 10'000;
   const auto sim = oblivious::make_oblivious_simulation(inner, options);
-  const LabeledGraph cycle =
-      LabeledGraph::uniform(make_cycle(12), Label{});
+  const LabeledGraph cycle = LabeledGraph::uniform(make_cycle(12), Label{});
   exec::ExecContext plain;
-  const auto first = run_oblivious(*sim, cycle, {plain});
+  const auto uncached = run_oblivious(*sim, cycle, {plain});
   EXPECT_TRUE(sim->last_stats().exhaustive);
-  // All 12 balls are isomorphic: the second run is answered by the memo.
-  const auto second = run_oblivious(*sim, cycle, {plain});
-  EXPECT_EQ(second.outputs, first.outputs);
-  EXPECT_TRUE(sim->last_stats().memo_hit);
-  for (int threads : {2, 8}) {
+  exec::VerdictCache cache;
+  for (int threads : {1, 2, 8}) {
     exec::ThreadPool pool(threads);
-    exec::ExecContext ctx{&pool, nullptr};
-    EXPECT_EQ(run_oblivious(*sim, cycle, {ctx}).outputs, first.outputs);
+    exec::ExecContext ctx{&pool, &cache};
+    EXPECT_EQ(run_oblivious(*sim, cycle, {ctx}).outputs, uncached.outputs)
+        << threads << " threads";
+  }
+  const auto stats = cache.stats();
+  EXPECT_EQ(stats.entries, 1u);
+  EXPECT_GT(stats.hits, 0u);
+}
+
+// Id-reading inner for the class-invariance tests: rejects iff the ball's
+// label-1 node holds a larger id than its label-2 node.
+std::shared_ptr<const LocalAlgorithm> label1_above_label2_rejects() {
+  return std::make_shared<LambdaAlgorithm>(
+      "label1-above-label2-rejects", 1, false, [](const BallView& ball) {
+        Id one = 0;
+        Id two = 0;
+        for (graph::NodeId v = 0; v < ball.node_count(); ++v) {
+          if (ball.label(v).at(0) == 1) one = ball.id_of(v);
+          if (ball.label(v).at(0) == 2) two = ball.id_of(v);
+        }
+        return one > two ? Verdict::no : Verdict::yes;
+      });
+}
+
+TEST(Determinism, SampledSimulationIgnoresBallNodeNumbering) {
+  // One sampled candidate, two numberings of the same labelled 3-path:
+  // extraction orders ball nodes by (distance, host id), so swapping the
+  // end labels swaps the ends' local indices. Applying the candidate by
+  // node index would give the label-1 end the larger id in exactly one of
+  // the two balls; applying it in canonical order gives both the same.
+  oblivious::SimulationOptions options;
+  options.max_assignments = 1;
+  const auto sim = oblivious::make_oblivious_simulation(
+      label1_above_label2_rejects(), options);
+  LabeledGraph a = LabeledGraph::uniform(make_path(3), Label{0});
+  a.set_label(0, Label{1});
+  a.set_label(2, Label{2});
+  LabeledGraph b = LabeledGraph::uniform(make_path(3), Label{0});
+  b.set_label(0, Label{2});
+  b.set_label(2, Label{1});
+  const Ball ball_a = extract_ball(a, nullptr, 1, 1);
+  const Ball ball_b = extract_ball(b, nullptr, 1, 1);
+  ASSERT_EQ(ball_a.canonical_encoding(), ball_b.canonical_encoding());
+  ASSERT_NE(ball_a.label(1), ball_b.label(1));
+  const Verdict va = sim->evaluate(ball_a);
+  EXPECT_FALSE(sim->last_stats().exhaustive);
+  EXPECT_EQ(sim->last_stats().assignments_tried, 1u);
+  EXPECT_EQ(sim->evaluate(ball_b), va);
+}
+
+TEST(CacheCorrectness, MemoizedAndUnmemoizedSampledSimulationAgree) {
+  // Labels v % 3 on a 12-cycle: every radius-1 ball holds one node of each
+  // label, and the balls of one class are numbered differently (node 0's
+  // label-1 neighbour is its lower host id; node 3's is its higher one).
+  // With a single sampled candidate per class, memoized runs at any thread
+  // count must return the uncached verdicts.
+  LabeledGraph g = LabeledGraph::uniform(make_cycle(12), Label{});
+  for (graph::NodeId v = 0; v < g.node_count(); ++v) {
+    g.set_label(v, Label{v % 3});
+  }
+  ASSERT_NE(extract_ball(g, nullptr, 0, 1).label(1),
+            extract_ball(g, nullptr, 3, 1).label(1));
+  oblivious::SimulationOptions options;
+  options.max_assignments = 1;
+  const auto sim = oblivious::make_oblivious_simulation(
+      label1_above_label2_rejects(), options);
+  exec::ExecContext plain;
+  const auto uncached = run_oblivious(*sim, g, {plain});
+  EXPECT_FALSE(sim->last_stats().exhaustive);
+  for (graph::NodeId v = 3; v < g.node_count(); ++v) {
+    EXPECT_EQ(uncached.outputs[static_cast<std::size_t>(v)],
+              uncached.outputs[static_cast<std::size_t>(v % 3)])
+        << "node " << v;
+  }
+  for (int threads : {1, 2, 8}) {
+    exec::ThreadPool pool(threads);
+    exec::VerdictCache cache;
+    exec::ExecContext memo{&pool, &cache};
+    const auto memoized = run_oblivious(*sim, g, {memo});
+    EXPECT_EQ(memoized.outputs, uncached.outputs) << threads << " threads";
+    EXPECT_EQ(memoized.accepted, uncached.accepted);
+    const auto stats = cache.stats();
+    EXPECT_EQ(stats.entries, 3u);
+    EXPECT_EQ(stats.hits + stats.misses, 12u);
+    if (threads == 1) {
+      EXPECT_EQ(stats.hits, 9u);  // each class decided once
+    }
   }
 }
 

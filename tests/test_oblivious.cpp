@@ -3,6 +3,7 @@
 // obstruction under (C) (the Section-3 decider).
 #include <gtest/gtest.h>
 
+#include "exec/verdict_cache.h"
 #include "graph/generators.h"
 #include "local/property.h"
 #include "local/simulator.h"
@@ -133,6 +134,40 @@ TEST(Simulation, UniverseSizeChangesVerdictForRuntimeBoundedInner) {
   EXPECT_FALSE(
       local::run_oblivious(*make_oblivious_simulation(inner, large), g)
           .accepted);
+}
+
+// A* is memoized like any other algorithm, so its name — the cache key's
+// algorithm half — must separate every option that can change a verdict:
+// the universe-50 and universe-51 simulations above, decided through one
+// shared cache, must still disagree.
+TEST(Simulation, SharedCacheKeepsConfigurationsApart) {
+  auto inner = std::make_shared<local::LambdaAlgorithm>(
+      "reject-at-big-id", 0, false, [](const BallView& ball) {
+        return ball.center_id() >= 50 ? Verdict::no : Verdict::yes;
+      });
+  LabeledGraph g = LabeledGraph::uniform(graph::make_path(1),
+                                         local::Label{});
+  SimulationOptions small;
+  small.id_universe = 50;
+  small.max_assignments = 200;
+  SimulationOptions large = small;
+  large.id_universe = 51;
+  const auto small_sim = make_oblivious_simulation(inner, small);
+  const auto large_sim = make_oblivious_simulation(inner, large);
+  exec::VerdictCache cache;
+  const exec::ExecContext ctx{nullptr, &cache};
+  EXPECT_TRUE(local::run_oblivious(*small_sim, g, {ctx}).accepted);
+  EXPECT_FALSE(local::run_oblivious(*large_sim, g, {ctx}).accepted);
+  EXPECT_EQ(cache.stats().entries, 2u);
+
+  SimulationOptions budget = small;
+  budget.max_assignments = 201;
+  SimulationOptions reseeded = small;
+  reseeded.seed = 2;
+  EXPECT_NE(make_oblivious_simulation(inner, budget)->name(),
+            small_sim->name());
+  EXPECT_NE(make_oblivious_simulation(inner, reseeded)->name(),
+            small_sim->name());
 }
 
 }  // namespace
