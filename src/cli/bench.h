@@ -1,6 +1,5 @@
 // `locald bench` — sweep the workload generator's (family x size x threads)
-// grid on the execution engine and emit one machine-readable JSON document
-// (the `BENCH_*.json` artifact shape).
+// grid on the execution engine and emit one machine-readable JSON document.
 //
 // Every cell is one gen::run_family_workload measurement. The default
 // document is the CI perf-trend gate's contract: all fields — verdict
@@ -28,8 +27,8 @@ struct BenchOptions {
   // `--canon`: use the pinned canonicalization-bound grid (the families
   // whose ball censuses are dominated by symmetric-ball canonicalization —
   // hypercubes, complete-bipartite, stars, caterpillars) instead of
-  // `families`. This is the grid CI tracks as the BENCH_PR5 trajectory;
-  // see canonicalization_bench_families().
+  // `families`. CI gates this grid serial vs parallel; see
+  // canonicalization_bench_families().
   bool canon = false;
   // `--family` selectors in grid order; empty = every registered family.
   std::vector<std::string> families;
@@ -49,8 +48,8 @@ struct BenchOptions {
 };
 
 // The pinned `--canon` grid: family selectors whose workload cells are
-// canonicalization-bound (censuses over highly symmetric balls). Stable
-// across PRs so the BENCH_* artifacts graph one trajectory.
+// canonicalization-bound (censuses over highly symmetric balls). Pinned so
+// timings of the grid stay comparable across versions.
 const std::vector<std::string>& canonicalization_bench_families();
 
 // Runs the grid and writes the JSON document to `out`. Returns the process

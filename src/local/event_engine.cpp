@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <memory>
 #include <queue>
 #include <tuple>
 
@@ -81,17 +82,19 @@ std::uint64_t fragment_index(int round, std::int64_t attempt, std::int64_t i) {
          static_cast<std::uint64_t>(i);
 }
 
-// A delivery fragment or (frag_total == 0) a definitive-loss notification
-// resolving one inbox slot.
+// One fragment's arrival or (frag_total == 0) a definitive-loss
+// notification for one inbox slot. A fragment is a contiguous slice of an
+// immutable message, so it carries only its timing: every fragment of every
+// arc shares the sender's one payload, and the slot resolves on its
+// frag_total-th arrival.
 struct Event {
   std::uint64_t time = 0;
   std::uint64_t seq = 0;  // push order; breaks time ties deterministically
   graph::NodeId dst = 0;
   int port = 0;
   int round = 0;
-  int frag_idx = 0;
   int frag_total = 0;
-  std::string piece;
+  std::shared_ptr<const std::string> payload;
 };
 
 struct LaterFirst {
@@ -101,12 +104,11 @@ struct LaterFirst {
 };
 
 // One inbox slot: (node, round, port). Resolves exactly once — with the
-// reassembled payload, or empty on loss.
+// delivered payload, or null on loss.
 struct Slot {
   bool resolved = false;
-  int pieces_received = 0;
-  std::vector<std::string> pieces;  // engaged while reassembling
-  std::string payload;
+  int arrivals = 0;
+  std::shared_ptr<const std::string> payload;
 };
 
 class Engine {
@@ -118,7 +120,7 @@ class Engine {
   // Floods to completion; afterwards state(v) is v's gathered knowledge.
   EventStats run();
   const std::string& state(graph::NodeId v) const {
-    return state_[static_cast<std::size_t>(v)];
+    return *state_[static_cast<std::size_t>(v)];
   }
 
  private:
@@ -157,7 +159,9 @@ class Engine {
   FaultKnobs knobs_;
   std::uint64_t seed_;
 
-  std::vector<std::string> state_;
+  // Each node's knowledge, immutable once computed: a round's sends share
+  // it rather than copy it.
+  std::vector<std::shared_ptr<const std::string>> state_;
   std::vector<int> round_of_;
   std::vector<std::vector<Slot>> slots_;
   // Max resolution time seen per (node, round): a node that buffered
@@ -170,7 +174,8 @@ class Engine {
 };
 
 void Engine::send_round(graph::NodeId v, int round, std::uint64_t now) {
-  const std::string& msg = state_[static_cast<std::size_t>(v)];
+  const std::shared_ptr<const std::string>& msg =
+      state_[static_cast<std::size_t>(v)];
   const std::uint64_t n = static_cast<std::uint64_t>(g_.node_count());
   for (graph::NodeId w : graph().neighbors(v)) {
     const std::uint64_t arc = static_cast<std::uint64_t>(v) * n +
@@ -219,48 +224,29 @@ void Engine::send_round(graph::NodeId v, int round, std::uint64_t now) {
     const std::uint64_t base =
         now + 1 + static_cast<std::uint64_t>(attempt) + delay;
 
+    // Fragment 0 rides the base delay; later fragments add their own
+    // jitter, so the message completes at the latest arrival.
     const int frags = static_cast<int>(std::max<std::int64_t>(
         1, knobs_.fragments));
     std::uint64_t completion = base;
-    if (frags == 1) {
+    for (int i = 0; i < frags; ++i) {
+      const std::uint64_t jitter =
+          (i > 0 && knobs_.delay_max > 0)
+              ? Rng::stream(seed_ ^ kFragPlane, arc,
+                            fragment_index(round, attempt, i))
+                    .below(static_cast<std::uint64_t>(knobs_.delay_max) + 1)
+              : 0;
       Event e;
-      e.time = base;
+      e.time = base + jitter;
       e.dst = w;
       e.port = port;
       e.round = round;
-      e.frag_total = 1;
-      e.piece = msg;
+      e.frag_total = frags;
+      e.payload = msg;
+      completion = std::max(completion, e.time);
       push(std::move(e));
-    } else {
-      // Balanced contiguous split; fragment 0 rides the base delay, later
-      // fragments add their own jitter so reassembly completes at the max.
-      const std::size_t len = msg.size();
-      std::size_t offset = 0;
-      for (int i = 0; i < frags; ++i) {
-        const std::size_t piece_len =
-            len / static_cast<std::size_t>(frags) +
-            (static_cast<std::size_t>(i) <
-                     len % static_cast<std::size_t>(frags)
-                 ? 1
-                 : 0);
-        const std::uint64_t jitter =
-            (i > 0 && knobs_.delay_max > 0)
-                ? Rng::stream(seed_ ^ kFragPlane, arc,
-                              fragment_index(round, attempt, i))
-                      .below(static_cast<std::uint64_t>(knobs_.delay_max) + 1)
-                : 0;
-        Event e;
-        e.time = base + jitter;
-        e.dst = w;
-        e.port = port;
-        e.round = round;
-        e.frag_idx = i;
-        e.frag_total = frags;
-        e.piece = msg.substr(offset, piece_len);
-        completion = std::max(completion, e.time);
-        push(std::move(e));
-        offset += piece_len;
-      }
+    }
+    if (frags > 1) {
       stats_.fragments_sent += static_cast<std::uint64_t>(frags);
     }
     ++stats_.messages_delivered;
@@ -284,13 +270,16 @@ void Engine::advance(graph::NodeId v, std::uint64_t now) {
       return;
     }
     t = std::max(t, round_time_[vi][static_cast<std::size_t>(round)]);
-    // A finished round's slots are never read again: move the payloads out.
+    // A finished round's slots are never read again: release the payloads.
     std::vector<std::string> inbox;
     inbox.reserve(deg);
     for (std::size_t p = 0; p < deg; ++p) {
-      inbox.push_back(std::move(slot(v, round, static_cast<int>(p)).payload));
+      std::shared_ptr<const std::string> payload =
+          std::move(slot(v, round, static_cast<int>(p)).payload);
+      inbox.push_back(payload ? *payload : std::string());
     }
-    state_[vi] = gather_.update(state_[vi], inbox);
+    state_[vi] = std::make_shared<const std::string>(
+        gather_.update(*state_[vi], inbox));
     ++round_of_[vi];
     if (round_of_[vi] < gather_.rounds()) {
       send_round(v, round_of_[vi], t);
@@ -308,7 +297,8 @@ EventStats Engine::run() {
   slots_.resize(static_cast<std::size_t>(n));
   round_time_.resize(static_cast<std::size_t>(n));
   for (graph::NodeId v = 0; v < n; ++v) {
-    state_[static_cast<std::size_t>(v)] = gather_.init(ids_.of(v), g_.label(v));
+    state_[static_cast<std::size_t>(v)] = std::make_shared<const std::string>(
+        gather_.init(ids_.of(v), g_.label(v)));
     const std::size_t deg = graph().neighbors(v).size();
     slots_[static_cast<std::size_t>(v)].resize(
         static_cast<std::size_t>(rounds) * deg);
@@ -334,29 +324,18 @@ EventStats Engine::run() {
     ++stats_.events_dispatched;
     Slot& s = slot(e.dst, e.round, e.port);
     LOCALD_ASSERT(!s.resolved, "inbox slot resolved twice");
-    if (e.frag_total == 0) {
-      s.resolved = true;  // lost: payload stays empty
-    } else {
-      if (s.pieces.empty()) {
-        s.pieces.resize(static_cast<std::size_t>(e.frag_total));
-      }
-      s.pieces[static_cast<std::size_t>(e.frag_idx)] = std::move(e.piece);
-      ++s.pieces_received;
-      if (s.pieces_received == e.frag_total) {
-        for (std::string& piece : s.pieces) {
-          s.payload += piece;
-        }
-        s.pieces.clear();
-        s.resolved = true;
-      }
+    // A slot resolves on its last fragment, or on a loss notification
+    // (frag_total == 0), which carries no payload.
+    if (e.frag_total != 0 && ++s.arrivals < e.frag_total) {
+      continue;
     }
-    if (s.resolved) {
-      auto& rt = round_time_[static_cast<std::size_t>(e.dst)];
-      rt[static_cast<std::size_t>(e.round)] =
-          std::max(rt[static_cast<std::size_t>(e.round)], e.time);
-      if (e.round == round_of_[static_cast<std::size_t>(e.dst)]) {
-        advance(e.dst, e.time);
-      }
+    s.payload = std::move(e.payload);
+    s.resolved = true;
+    auto& rt = round_time_[static_cast<std::size_t>(e.dst)];
+    rt[static_cast<std::size_t>(e.round)] =
+        std::max(rt[static_cast<std::size_t>(e.round)], e.time);
+    if (e.round == round_of_[static_cast<std::size_t>(e.dst)]) {
+      advance(e.dst, e.time);
     }
   }
 
