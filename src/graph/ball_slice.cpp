@@ -1,8 +1,40 @@
 #include "graph/ball_slice.h"
 
 #include <algorithm>
+#include <limits>
 
 namespace locald::graph {
+
+namespace {
+
+// Dense-layer test: a layer this large whose host ids span less than
+// kDenseSpanFactor times its size is cheaper to emit by scanning the span
+// for its stamp than by sorting it (hub balls, whose layers are whole id
+// ranges of the host).
+constexpr std::size_t kDenseLayerMin = 64;
+constexpr std::size_t kDenseSpanFactor = 4;
+
+}  // namespace
+
+void BallScratch::emit_layer(std::size_t begin, std::uint32_t stamp) {
+  const auto first = members_.begin() + static_cast<std::ptrdiff_t>(begin);
+  const std::size_t size = members_.size() - begin;
+  if (size > kDenseLayerMin) {
+    const auto [lo, hi] = std::minmax_element(first, members_.end());
+    const NodeId low = *lo;
+    const NodeId high = *hi;
+    if (static_cast<std::size_t>(high - low) + 1 < kDenseSpanFactor * size) {
+      std::size_t out = begin;
+      for (NodeId w = low; w <= high; ++w) {
+        if (stamp_[static_cast<std::size_t>(w)] == stamp) {
+          members_[out++] = w;
+        }
+      }
+      return;
+    }
+  }
+  std::sort(first, members_.end());
+}
 
 BallSlice BallScratch::extract(const CsrSpan& host, NodeId v, int radius) {
   LOCALD_CHECK(radius >= 0, "radius must be non-negative");
@@ -11,33 +43,41 @@ BallSlice BallScratch::extract(const CsrSpan& host, NodeId v, int radius) {
     stamp_.resize(static_cast<std::size_t>(host.n), 0);
     local_of_.resize(static_cast<std::size_t>(host.n));
   }
-  if (++epoch_ == 0) {  // epoch wrapped: all stamps are stale, reset once
+  // Layer d is stamped base + d, so one extraction spends up to radius + 1
+  // stamps (never more than the host has nodes). Reset once when they
+  // would run past the top of the counter.
+  const std::uint32_t layers = static_cast<std::uint32_t>(
+      std::min<std::int64_t>(radius, host.n - 1) + 1);
+  if (epoch_ > std::numeric_limits<std::uint32_t>::max() - layers) {
     std::fill(stamp_.begin(), stamp_.end(), 0);
-    epoch_ = 1;
+    epoch_ = 0;
   }
+  const std::uint32_t base = epoch_ + 1;
 
   members_.clear();
   members_.push_back(v);
-  stamp_[static_cast<std::size_t>(v)] = epoch_;
+  stamp_[static_cast<std::size_t>(v)] = base;
   layer_begin_.clear();
   layer_begin_.push_back(0);
   std::size_t frontier_begin = 0;
+  epoch_ = base;
   for (int d = 0; d < radius; ++d) {
     const std::size_t frontier_end = members_.size();
     if (frontier_begin == frontier_end) {
       break;
     }
+    const std::uint32_t next = base + static_cast<std::uint32_t>(d) + 1;
     for (std::size_t i = frontier_begin; i < frontier_end; ++i) {
       for (NodeId w : host.neighbors(members_[i])) {
         auto& s = stamp_[static_cast<std::size_t>(w)];
-        if (s != epoch_) {
-          s = epoch_;
+        if (s < base) {
+          s = next;
           members_.push_back(w);
         }
       }
     }
-    std::sort(members_.begin() + static_cast<std::ptrdiff_t>(frontier_end),
-              members_.end());
+    epoch_ = next;
+    emit_layer(frontier_end, next);
     layer_begin_.push_back(static_cast<NodeId>(frontier_end));
     frontier_begin = frontier_end;
   }
@@ -69,7 +109,7 @@ BallSlice BallScratch::extract(const CsrSpan& host, NodeId v, int radius) {
     row_own_.clear();
     row_above_.clear();
     for (NodeId w : host.neighbors(members_[static_cast<std::size_t>(u)])) {
-      if (stamp_[static_cast<std::size_t>(w)] != epoch_) {
+      if (stamp_[static_cast<std::size_t>(w)] < base) {
         continue;
       }
       const NodeId l = local_of_[static_cast<std::size_t>(w)];

@@ -12,6 +12,12 @@ namespace locald::halting {
 using graph::PyramidIndexer;
 using graph::attach_pyramid;
 
+namespace {
+
+constexpr std::size_t kHeaderFields = 6;  // label fields before M
+
+}  // namespace
+
 local::Label cell_label(const tm::TuringMachine& m, int r, int x, int y,
                         int code, std::int64_t role) {
   std::vector<std::int64_t> fields{kGmrTag, r, role, x % 3, y % 3, code};
@@ -27,24 +33,41 @@ local::Label pyramid_label(const tm::TuringMachine& m, int r) {
   return local::Label(std::move(fields));
 }
 
-std::optional<DecodedLabel> decode_label(const local::Label& l) {
-  if (l.size() < 8 || l.at(0) != kGmrTag) {
+std::optional<DecodedLabel> decode_header(const local::Label& l) {
+  const auto& f = l.fields();
+  if (f.size() < 8 || f[0] != kGmrTag) {
     return std::nullopt;
   }
   DecodedLabel out;
-  out.r = static_cast<int>(l.at(1));
-  out.role = l.at(2);
-  out.xm3 = static_cast<int>(l.at(3));
-  out.ym3 = static_cast<int>(l.at(4));
-  out.code = static_cast<int>(l.at(5));
+  out.r = static_cast<int>(f[1]);
+  out.role = f[2];
+  out.xm3 = static_cast<int>(f[3]);
+  out.ym3 = static_cast<int>(f[4]);
+  out.code = static_cast<int>(f[5]);
   if (out.r < 0 ||
       (out.role != kRoleTableCell && out.role != kRolePyramid &&
        out.role != kRoleFragmentCell) ||
       out.xm3 < 0 || out.xm3 > 2 || out.ym3 < 0 || out.ym3 > 2) {
     return std::nullopt;
   }
-  out.machine_encoding.assign(l.fields().begin() + 6, l.fields().end());
   return out;
+}
+
+std::optional<DecodedLabel> decode_label(const local::Label& l) {
+  auto out = decode_header(l);
+  if (out.has_value()) {
+    out->machine_encoding.assign(l.fields().begin() + kHeaderFields,
+                                 l.fields().end());
+  }
+  return out;
+}
+
+bool same_machine(const local::Label& a, const local::Label& b) {
+  const auto& fa = a.fields();
+  const auto& fb = b.fields();
+  return fa.size() == fb.size() && fa.size() >= kHeaderFields &&
+         std::equal(fa.begin() + kHeaderFields, fa.end(),
+                    fb.begin() + kHeaderFields);
 }
 
 GmrInstance build_gmr(const GmrParams& params) {

@@ -61,6 +61,10 @@ struct DecodedLabel {
   std::vector<std::int64_t> machine_encoding;
 };
 std::optional<DecodedLabel> decode_label(const local::Label& l);
+// The same validation without copying M: machine_encoding stays empty.
+std::optional<DecodedLabel> decode_header(const local::Label& l);
+// Whether two labels carry the same M-encoding, compared in place.
+bool same_machine(const local::Label& a, const local::Label& b);
 
 struct GmrInstance {
   local::LabeledGraph graph;

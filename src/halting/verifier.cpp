@@ -36,14 +36,19 @@ Relation classify(const DecodedLabel& a, const DecodedLabel& b) {
   return Relation::invalid;
 }
 
-struct ParsedBall {
-  std::vector<std::optional<DecodedLabel>> labels;
-  // position[v] = (dx, dy) relative to the centre within its grid component
-  // (only nodes reachable from the centre via grid edges).
+// position[v] = (dx, dy) relative to an origin within its grid component
+// (only nodes reachable from the origin via grid edges), and its inverse.
+struct Geometry {
   std::map<graph::NodeId, std::pair<int, int>> position;
   std::map<std::pair<int, int>, graph::NodeId> at;
+};
+
+struct ParsedBall {
+  // Header-only labels (machine_encoding empty): step 1 has checked that
+  // every node carries the centre's (M, r).
+  std::vector<DecodedLabel> labels;
+  Geometry geo;  // around the centre
   std::vector<graph::NodeId> glue_partners_of_center;
-  bool ok = false;
 };
 
 struct MachineCtx {
@@ -67,10 +72,10 @@ int glue_degree(const BallView& ball, const ParsedBall& parsed, graph::NodeId v)
   for (graph::NodeId w : ball.g.neighbors(v)) {
     const auto& lv = parsed.labels[static_cast<std::size_t>(v)];
     const auto& lw = parsed.labels[static_cast<std::size_t>(w)];
-    if (!lv->is_cell() || !lw->is_cell()) {
+    if (!lv.is_cell() || !lw.is_cell()) {
       continue;
     }
-    if (classify(*lv, *lw) == Relation::glue) {
+    if (classify(lv, lw) == Relation::glue) {
       ++count;
     }
   }
@@ -79,24 +84,23 @@ int glue_degree(const BallView& ball, const ParsedBall& parsed, graph::NodeId v)
 
 // BFS position assignment over grid edges starting from `origin`.
 // Returns false on geometric inconsistency.
-bool assign_positions(const BallView& ball, ParsedBall& parsed,
-                      graph::NodeId origin) {
-  parsed.position.clear();
-  parsed.at.clear();
+bool assign_positions(const BallView& ball,
+                      const std::vector<DecodedLabel>& labels,
+                      graph::NodeId origin, Geometry& geo) {
   std::vector<graph::NodeId> queue{origin};
-  parsed.position[origin] = {0, 0};
-  parsed.at[{0, 0}] = origin;
+  geo.position[origin] = {0, 0};
+  geo.at[{0, 0}] = origin;
   std::size_t head = 0;
   while (head < queue.size()) {
     const graph::NodeId u = queue[head++];
-    const auto [ux, uy] = parsed.position.at(u);
-    const auto& lu = parsed.labels[static_cast<std::size_t>(u)];
+    const auto [ux, uy] = geo.position.at(u);
+    const auto& lu = labels[static_cast<std::size_t>(u)];
     for (graph::NodeId w : ball.g.neighbors(u)) {
-      const auto& lw = parsed.labels[static_cast<std::size_t>(w)];
-      if (!lu->is_cell() || !lw->is_cell()) {
+      const auto& lw = labels[static_cast<std::size_t>(w)];
+      if (!lu.is_cell() || !lw.is_cell()) {
         continue;
       }
-      const Relation rel = classify(*lu, *lw);
+      const Relation rel = classify(lu, lw);
       if (rel == Relation::invalid) {
         return false;
       }
@@ -113,18 +117,18 @@ bool assign_positions(const BallView& ball, ParsedBall& parsed,
         case Relation::glue:
         case Relation::invalid: break;
       }
-      const auto it = parsed.position.find(w);
-      if (it != parsed.position.end()) {
+      const auto it = geo.position.find(w);
+      if (it != geo.position.end()) {
         if (it->second != std::pair{wx, wy}) {
           return false;  // inconsistent geometry
         }
         continue;
       }
-      const auto [slot, fresh] = parsed.at.emplace(std::pair{wx, wy}, w);
+      const auto [slot, fresh] = geo.at.emplace(std::pair{wx, wy}, w);
       if (!fresh) {
         return false;  // two cells at one position
       }
-      parsed.position[w] = {wx, wy};
+      geo.position[w] = {wx, wy};
       queue.push_back(w);
     }
   }
@@ -149,31 +153,30 @@ class GmrVerifier final : public local::LocalAlgorithm {
   bool id_oblivious() const override { return true; }
 
   Verdict evaluate(const BallView& ball) const override {
+    // Step 1: everyone shares (M, r). Only the centre's machine is
+    // copied out; every other label is checked in place against it.
+    const local::Label& center_raw = ball.center_label();
+    const auto center = decode_label(center_raw);
+    if (!center.has_value()) {
+      return Verdict::no;
+    }
     ParsedBall parsed;
-    parsed.labels.resize(static_cast<std::size_t>(ball.node_count()));
-    std::optional<std::vector<std::int64_t>> enc;
-    int r = -1;
+    parsed.labels.reserve(static_cast<std::size_t>(ball.node_count()));
     for (graph::NodeId v = 0; v < ball.node_count(); ++v) {
-      auto d = decode_label(ball.label(v));
-      if (!d.has_value()) {
+      const local::Label& raw = ball.label(v);
+      const auto d = decode_header(raw);
+      if (!d.has_value() || d->r != center->r ||
+          !same_machine(raw, center_raw)) {
         return Verdict::no;
       }
-      if (enc.has_value()) {
-        if (d->machine_encoding != *enc || d->r != r) {
-          return Verdict::no;  // step 1: everyone shares (M, r)
-        }
-      } else {
-        enc = d->machine_encoding;
-        r = d->r;
-      }
-      parsed.labels[static_cast<std::size_t>(v)] = std::move(d);
+      parsed.labels.push_back(*d);
     }
-    const MachineCtx* ctx = context(*enc);
+    const MachineCtx* ctx = context(center->machine_encoding);
     if (ctx == nullptr || !ctx->valid) {
       return Verdict::no;
     }
     const auto& center_label =
-        *parsed.labels[static_cast<std::size_t>(ball.center)];
+        parsed.labels[static_cast<std::size_t>(ball.center)];
     if (center_label.role == kRolePyramid) {
       // Appendix-A mode: pyramid structure is validated by the global
       // oracle; locally only the mode gate applies.
@@ -181,23 +184,23 @@ class GmrVerifier final : public local::LocalAlgorithm {
     }
     if (!pyramidal_) {
       for (const auto& l : parsed.labels) {
-        if (l->role == kRolePyramid) {
+        if (l.role == kRolePyramid) {
           return Verdict::no;
         }
       }
     }
-    if (!assign_positions(ball, parsed, ball.center)) {
+    if (!assign_positions(ball, parsed.labels, ball.center, parsed.geo)) {
       return Verdict::no;
     }
     for (graph::NodeId w : ball.g.neighbors(ball.center)) {
       const auto& lw = parsed.labels[static_cast<std::size_t>(w)];
-      if (center_label.is_cell() && lw->is_cell() &&
-          classify(center_label, *lw) == Relation::glue) {
+      if (center_label.is_cell() && lw.is_cell() &&
+          classify(center_label, lw) == Relation::glue) {
         parsed.glue_partners_of_center.push_back(w);
       }
     }
-    const bool no_north = !parsed.at.contains({0, -1});
-    const bool no_west = !parsed.at.contains({-1, 0});
+    const bool no_north = !parsed.geo.at.contains({0, -1});
+    const bool no_west = !parsed.geo.at.contains({-1, 0});
     if (no_north && no_west && is_pivot_like(*ctx, center_label) &&
         parsed.glue_partners_of_center.size() >= 2) {
       return check_pivot(*ctx, ball, parsed);
@@ -207,11 +210,11 @@ class GmrVerifier final : public local::LocalAlgorithm {
 
  private:
   std::optional<int> code_at(const ParsedBall& parsed, int dx, int dy) const {
-    const auto it = parsed.at.find({dx, dy});
-    if (it == parsed.at.end()) {
+    const auto it = parsed.geo.at.find({dx, dy});
+    if (it == parsed.geo.at.end()) {
       return std::nullopt;
     }
-    return parsed.labels[static_cast<std::size_t>(it->second)]->code;
+    return parsed.labels[static_cast<std::size_t>(it->second)].code;
   }
 
   Verdict check_cell(const MachineCtx& ctx, const BallView& ball,
@@ -227,8 +230,7 @@ class GmrVerifier final : public local::LocalAlgorithm {
       if (center.role != kRoleFragmentCell) {
         return Verdict::no;  // only fragment borders glue to the pivot
       }
-      const auto& partner =
-          *parsed.labels[static_cast<std::size_t>(glue[0])];
+      const auto& partner = parsed.labels[static_cast<std::size_t>(glue[0])];
       if (!is_pivot_like(ctx, partner) ||
           glue_degree(ball, parsed, glue[0]) < 2) {
         return Verdict::no;
@@ -292,7 +294,7 @@ class GmrVerifier final : public local::LocalAlgorithm {
     }
     // No row below: natural bottom / frozen table bottom must be head-free
     // (halting heads allowed) unless the cell is glued.
-    if (!parsed.at.contains({0, 1}) && !glued) {
+    if (!parsed.geo.at.contains({0, 1}) && !glued) {
       if (m.cell_has_head(center.code) &&
           !m.is_halting(m.cell_state(center.code))) {
         return Verdict::no;
@@ -325,7 +327,7 @@ class GmrVerifier final : public local::LocalAlgorithm {
             continue;
           }
           const auto& lx = parsed.labels[static_cast<std::size_t>(x)];
-          if (classify(*lu, *lx) == Relation::glue) {
+          if (classify(lu, lx) == Relation::glue) {
             continue;
           }
           component[x] = c;
@@ -356,9 +358,8 @@ class GmrVerifier final : public local::LocalAlgorithm {
       const MachineCtx& ctx, const BallView& ball, const ParsedBall& parsed,
       const std::vector<graph::NodeId>& members) const {
     // Positions relative to the component's own origin.
-    ParsedBall sub;
-    sub.labels = parsed.labels;
-    if (!assign_positions(ball, sub, members[0])) {
+    Geometry sub;
+    if (!assign_positions(ball, parsed.labels, members[0], sub)) {
       return std::nullopt;
     }
     // Restrict to the component members and normalize.
@@ -376,7 +377,7 @@ class GmrVerifier final : public local::LocalAlgorithm {
     for (graph::NodeId v : members) {
       const auto [x, y] = sub.position.at(v);
       codes[{x - min_x, y - min_y}] =
-          parsed.labels[static_cast<std::size_t>(v)]->code;
+          parsed.labels[static_cast<std::size_t>(v)].code;
     }
     // Shape: full top row, optional full side columns, optional bottom row.
     const int k = k_;

@@ -16,12 +16,14 @@ constexpr std::uint64_t kProbeIdStreamTag = 0x70726f6265ULL;  // "probe"
 // Ω(ball bytes) per ball while the probability of meeting an isomorphic
 // ball collapses as balls grow (a high-degree hub drags its whole
 // neighbourhood — labels and all — into every nearby ball, and such balls
-// are nearly always unique). Measured on fig2-gmr: the pivot's ~2400-node
-// radius-2 balls cost ~4ms each to encode against sub-millisecond
-// verifier evaluations at a ~0% hit rate, while the graph's thousands of
-// small grid-cell balls encode in microseconds and do repeat. The cap is
-// a pure function of the ball, so memoized == unmemoized still holds at
-// every thread count.
+// are nearly always unique). Measured on fig2-gmr's default instances
+// (Release, 4-core x86): the radius-2 balls around the pivot hold
+// 1,800-3,500 nodes and take 3.5-8 ms each to encode, while verifying one
+// takes 0.03-0.08 ms (the pivot's own ball, one per instance, 7-13 ms), at
+// a ~0% hit rate — keying would cost ~100x the evaluation it could save.
+// The graph's thousands of small grid-cell balls encode in microseconds
+// and do repeat. The cap is a pure function of the ball, so memoized ==
+// unmemoized still holds at every thread count.
 constexpr graph::NodeId kMemoBallCap = 256;
 
 // Evaluate through the memoization cache when one is wired up. The cache key

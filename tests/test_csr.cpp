@@ -23,8 +23,11 @@
 #include "graph/csr.h"
 #include "graph/generators.h"
 #include "graph/graph.h"
+#include "graph/induced.h"
 #include "graph/isomorphism.h"
+#include "halting/gmr.h"
 #include "support/check.h"
+#include "tm/zoo.h"
 
 namespace locald::graph {
 namespace {
@@ -43,6 +46,46 @@ std::vector<CsrGraph> sample_graphs() {
   graphs.push_back(make_random_connected(40, 25, 901));
   graphs.push_back(make_random_tree(30, 902));
   graphs.push_back(make_random_gnp(25, 0.2, 903));
+  return graphs;
+}
+
+// Centre 0 is adjacent to hubs 1 and 2; hub 1 owns `per_hub` leaves with
+// ids high + stride * i, hub 2 owns low + stride * i. BFS from 0 discovers
+// layer 2 high ids first, so the layer arrives out of host-id order.
+CsrGraph make_two_hubs(NodeId per_hub, NodeId stride) {
+  const NodeId low = 3;
+  const NodeId high = low + per_hub * stride;
+  std::vector<std::pair<NodeId, NodeId>> edges{{0, 1}, {0, 2}};
+  for (NodeId i = 0; i < per_hub; ++i) {
+    edges.emplace_back(1, high + stride * i);
+    edges.emplace_back(2, low + stride * i);
+  }
+  return CsrGraph::from_edges(high + per_hub * stride, edges);
+}
+
+// Graphs whose balls hold BFS layers of more than 64 nodes. Their host ids
+// fill a narrow range, so BallScratch emits them by scanning that range,
+// except in the two-hub graph with stride 10 (wide: sorted); the G(M, r)
+// instance has layers of both kinds.
+std::vector<CsrGraph> hub_graphs() {
+  std::vector<CsrGraph> graphs;
+  graphs.push_back(make_star(250));
+  std::vector<std::pair<NodeId, NodeId>> star_tail;  // tail 200-201-...-205
+  for (NodeId leaf = 1; leaf <= 200; ++leaf) {
+    star_tail.emplace_back(0, leaf);
+  }
+  for (NodeId t = 200; t < 205; ++t) {
+    star_tail.emplace_back(t, t + 1);
+  }
+  graphs.push_back(CsrGraph::from_edges(206, star_tail));
+  graphs.push_back(make_two_hubs(150, 1));   // dense: ids fill the range
+  graphs.push_back(make_two_hubs(100, 10));  // wide: ids 10 apart
+  tm::FragmentPolicy policy;
+  policy.max_fragments = 60;
+  policy.seed = 7;
+  graphs.push_back(
+      halting::build_gmr({tm::halt_after(2, 0), 1, 3, policy, false, 4096})
+          .graph.graph());
   return graphs;
 }
 
@@ -175,30 +218,27 @@ TEST(CsrEquivalence, BfsBallMembershipMatchesAdjacencyListReference) {
   }
 }
 
+// The legacy pipeline, nodes_within + induced_subgraph, is the reference:
+// same members in the same (distance, host id) order, same rows.
 TEST(CsrEquivalence, BallSliceMatchesNodesWithinAndInducedEdges) {
   BallScratch scratch;
-  for (const CsrGraph& g : sample_graphs()) {
+  std::vector<CsrGraph> graphs = sample_graphs();
+  for (CsrGraph& g : hub_graphs()) {
+    graphs.push_back(std::move(g));
+  }
+  for (const CsrGraph& g : graphs) {
     for (NodeId v = 0; v < g.node_count(); ++v) {
-      for (int radius : {0, 1, 2}) {
+      for (int radius : {0, 1, 2, 3}) {
         const BallSlice slice = scratch.extract(g, v, radius);
         ASSERT_EQ(slice.center, 0);
-        ASSERT_EQ(slice.to_host[0], v);  // centre first
-        // Membership: exactly B(v, radius).
-        std::vector<NodeId> hosts(slice.to_host,
-                                  slice.to_host + slice.local.node_count());
-        std::vector<NodeId> sorted_hosts = hosts;
-        std::sort(sorted_hosts.begin(), sorted_hosts.end());
-        std::vector<NodeId> want = nodes_within(g, v, radius);
-        std::sort(want.begin(), want.end());
-        ASSERT_EQ(sorted_hosts, want);
-        // Induced adjacency: local {a, b} iff host {to_host[a], to_host[b]}.
+        const std::vector<NodeId> want = nodes_within(g, v, radius);
+        const std::vector<NodeId> hosts(
+            slice.to_host, slice.to_host + slice.local.node_count());
+        ASSERT_EQ(hosts, want) << "v=" << v << " radius=" << radius;
+        const InducedSubgraph sub = induced_subgraph(g, want);
         for (NodeId a = 0; a < slice.local.node_count(); ++a) {
-          for (NodeId b = static_cast<NodeId>(a + 1);
-               b < slice.local.node_count(); ++b) {
-            EXPECT_EQ(slice.local.has_edge(a, b),
-                      g.has_edge(hosts[static_cast<std::size_t>(a)],
-                                 hosts[static_cast<std::size_t>(b)]));
-          }
+          ASSERT_EQ(slice.local.neighbors(a), sub.graph.neighbors(a))
+              << "v=" << v << " radius=" << radius << " row " << a;
         }
       }
     }

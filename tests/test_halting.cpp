@@ -5,6 +5,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "exec/thread_pool.h"
 #include "graph/generators.h"
@@ -13,6 +16,7 @@
 #include "halting/gmr.h"
 #include "halting/promise_halting.h"
 #include "halting/verifier.h"
+#include "local/ball.h"
 #include "local/property.h"
 #include "local/simulator.h"
 #include "tm/run.h"
@@ -169,6 +173,57 @@ TEST(Verifier, RejectsForeignMachineLabel) {
   bad.set_label(7, cell_label(tm::halt_after(2, 1), params.r, 3, 1,
                               decode_label(bad.label(7))->code));
   EXPECT_FALSE(local::run_oblivious(*verifier, bad).accepted);
+}
+
+// Step 1 on a hub ball: one border cell glued to the pivot carries a label
+// whose (M, r) differs from everyone else's in a single way. The mutated
+// cell lies at distance 2 (via the pivot) from every other border cell, so
+// those cells' balls must reject on the label alone.
+TEST(Verifier, RejectsOneMismatchedLabelInAHubBall) {
+  const GmrParams params = make_params(tm::halt_after(2, 0), 100);
+  const GmrInstance inst = build_gmr(params);
+  const auto verifier =
+      make_gmr_verifier(3, params.policy, false, params.step_budget);
+  const graph::CsrGraph& g = inst.graph.graph();
+  std::vector<graph::NodeId> border;
+  for (graph::NodeId w : g.neighbors(inst.pivot)) {
+    if (decode_label(inst.graph.label(w))->role == kRoleFragmentCell) {
+      border.push_back(w);
+    }
+  }
+  ASSERT_GE(border.size(), 2u);
+  const graph::NodeId mutated = border[0];
+  const auto far = std::find_if(border.begin(), border.end(), [&](auto w) {
+    return w != mutated && !g.has_edge(w, mutated);
+  });
+  ASSERT_NE(far, border.end());
+  const graph::NodeId observer = *far;
+
+  const std::vector<std::int64_t> fields =
+      inst.graph.label(mutated).fields();
+  std::vector<std::pair<std::string, std::vector<std::int64_t>>> variants;
+  variants.emplace_back("truncated encoding",
+                        std::vector(fields.begin(), fields.end() - 1));
+  variants.emplace_back("extended encoding", fields);
+  variants.back().second.push_back(0);
+  variants.emplace_back("different r", fields);
+  variants.back().second[1] += 1;
+  variants.emplace_back("last encoding field", fields);
+  variants.back().second.back() += 1;
+  variants.emplace_back("x mod 3 out of range", fields);
+  variants.back().second[3] = 3;
+
+  const auto observed = [&](const LabeledGraph& lg) {
+    return verifier->evaluate(
+        local::extract_ball(lg, nullptr, observer, verifier->horizon()));
+  };
+  ASSERT_EQ(observed(inst.graph), Verdict::yes);
+  for (const auto& [what, mutant] : variants) {
+    LabeledGraph bad = inst.graph;
+    bad.set_label(mutated, local::Label(mutant));
+    EXPECT_EQ(observed(bad), Verdict::no) << what;
+    EXPECT_FALSE(local::run_oblivious(*verifier, bad).accepted) << what;
+  }
 }
 
 TEST(Verifier, RejectsMissingFragment) {
