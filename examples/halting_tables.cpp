@@ -35,17 +35,18 @@ int main() {
               << " fragments glued to the pivot (exhaustive: "
               << (inst.fragments_exhaustive ? "yes" : "no") << ")\n";
 
-    const auto verifier = halting::make_gmr_verifier(3, policy, false, 4096);
-    const auto decider = halting::make_gmr_decider(3, policy, false, 4096);
+    // The decider is gated on the verifier: one panel verifies each ball
+    // once and runs the decider's id-dependent simulation on top.
+    const std::shared_ptr<const local::LocalAlgorithm> verifier =
+        halting::make_gmr_verifier(3, policy, false, 4096);
+    const auto decider = halting::make_gmr_decider(verifier);
     const auto ids = local::make_consecutive(inst.graph.node_count());
+    const auto runs =
+        local::run_panel({verifier.get(), decider.get()}, inst.graph, &ids);
     std::cout << "  structure verifier (Id-oblivious): "
-              << (local::run_oblivious(*verifier, inst.graph).accepted
-                      ? "accept"
-                      : "reject")
-              << "\n";
+              << (runs[0].accepted ? "accept" : "reject") << "\n";
     std::cout << "  LD decider (simulates M for Id(v) steps): "
-              << (local::accepts(*decider, inst.graph, ids) ? "accept"
-                                                            : "reject")
+              << (runs[1].accepted ? "accept" : "reject")
               << "  (membership in P requires output 0)\n";
   }
 

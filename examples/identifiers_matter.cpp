@@ -46,9 +46,13 @@ int main() {
     const auto idsH = local::make_random_bounded(H.node_count(), p.f, rng);
     const auto idsT = local::make_random_bounded(T.node_count(), p.f, rng);
     std::cout << "trial " << trial << ": decider on H+ -> "
-              << (local::accepts(*decider, H, idsH) ? "accept" : "reject")
+              << (local::run_local_algorithm(*decider, H, idsH).accepted
+                      ? "accept"
+                      : "reject")
               << ", on T_r -> "
-              << (local::accepts(*decider, T, idsT) ? "accept" : "reject")
+              << (local::run_local_algorithm(*decider, T, idsT).accepted
+                      ? "accept"
+                      : "reject")
               << "\n";
   }
 

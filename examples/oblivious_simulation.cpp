@@ -52,7 +52,9 @@ int main() {
   const auto bounded_ids =
       local::make_random_bounded(H.node_count(), p.f, rng);
   std::cout << "Section-2 decider on a small instance (bounded ids): "
-            << (local::accepts(*trees::make_P_decider(p), H, bounded_ids)
+            << (local::run_local_algorithm(*trees::make_P_decider(p), H,
+                                           bounded_ids)
+                        .accepted
                     ? "accept"
                     : "reject")
             << "\n";

@@ -39,8 +39,12 @@ bool run_fig2(const ScenarioOptions& opts, std::ostream& out) {
     columns.push_back("time(s)");
   }
   TextTable table(columns);
-  const auto verifier = halting::make_gmr_verifier(3, policy, false, budget);
-  const auto decider = halting::make_gmr_decider(3, policy, false, budget);
+  // One verifier object behind both columns: the decider is gated on it, so
+  // each machine's verifier context is built once and one panel decides
+  // both columns from a single extraction and verification of each ball.
+  const std::shared_ptr<const local::LocalAlgorithm> verifier =
+      halting::make_gmr_verifier(3, policy, false, budget);
+  const auto decider = halting::make_gmr_decider(verifier);
   for (const tm::ZooEntry& e : tm::small_zoo()) {
     const obs::Stopwatch stopwatch;
     const auto exact = tm::count_fragments(e.machine, 3);
@@ -55,16 +59,17 @@ bool run_fig2(const ScenarioOptions& opts, std::ostream& out) {
       tbl = cat(inst.table_side, "x", inst.table_side);
       g_size = cat(inst.graph.node_count());
       used = cat(inst.fragment_count);
-      // Memoized on the shared cache (the PR-3 wholesale bypass is gone):
-      // the engine class-keys the thousands of small repeating grid-cell
-      // balls and size-caps the pivot's huge unique hub balls out of the
-      // cache (see decide_ball in local/simulator.cpp), so caching costs
-      // ~nothing here and pays across requests in the serving layer.
-      const bool verified =
-          local::run_oblivious(*verifier, inst.graph, {opts.exec}).accepted;
-      verify = verified ? "accept" : "REJECT";
+      // The verifier runs on the stripped balls through the shared cache,
+      // which class-keys the thousands of small repeating grid-cell balls
+      // and size-caps the pivot's huge unique hub balls out (see
+      // decide_ball in local/simulator.cpp). The decider reuses each node's
+      // verifier verdict and runs only its id-dependent tail.
       const auto ids = local::make_consecutive(inst.graph.node_count());
-      const bool acc = local::accepts(*decider, inst.graph, ids);
+      const auto runs = local::run_panel({verifier.get(), decider.get()},
+                                         inst.graph, &ids, {opts.exec});
+      const bool verified = runs[0].accepted;
+      verify = verified ? "accept" : "REJECT";
+      const bool acc = runs[1].accepted;
       const bool correct = acc == (e.output == 0);  // membership: output 0
       ok = ok && verified && correct;
       decide = cat(acc ? "accept" : "reject", correct ? " (ok)" : " (BAD)");
@@ -227,20 +232,20 @@ bool run_promise_halting(const ScenarioOptions& opts, std::ostream& out) {
     const graph::NodeId n = e.machine.name() == "zigzag_halt(3,0)" ? 40 : 12;
     const auto inst = halting::build_promise_halting_instance(e.machine, n);
     const bool member = property->contains(inst);
-    const bool id_ok =
-        local::accepts(*decider, inst,
-                       local::make_consecutive(inst.node_count())) == member;
+    const auto ids = local::make_consecutive(inst.node_count());
+    const auto runs =
+        local::run_panel({decider.get(), cand4.get(), cand16.get()}, inst,
+                         &ids, {opts.exec});
+    const bool id_ok = runs[0].accepted == member;
     ok = ok && id_ok;
+    const auto verdict = [](const local::RunResult& run) {
+      return std::string(run.accepted ? "accept" : "reject");
+    };
     table.add_row({e.machine.name(), e.halts ? "yes" : "no",
                    e.halts ? cat(tm::run_machine(e.machine, 100000).steps)
                            : std::string("-"),
-                   cat(n), id_ok ? "correct" : "WRONG",
-                   local::run_oblivious(*cand4, inst, {opts.exec}).accepted
-                       ? std::string("accept")
-                       : std::string("reject"),
-                   local::run_oblivious(*cand16, inst, {opts.exec}).accepted
-                       ? std::string("accept")
-                       : std::string("reject")});
+                   cat(n), id_ok ? "correct" : "WRONG", verdict(runs[1]),
+                   verdict(runs[2])});
   }
   emit_table(out, opts,
              "promise halting (Section 3): machine-labelled cycles", table);

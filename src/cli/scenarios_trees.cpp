@@ -54,8 +54,12 @@ bool run_fig1(const ScenarioOptions& opts, std::ostream& out) {
     if (r <= 2) {
       instances.push_back(trees::build_T(p));
     }
+    // Pool only, no cache: every ball's labels carry its T_r coordinates,
+    // so no two balls are isomorphic and class-keying one costs more than
+    // verifying it.
     const auto report = local::evaluate_decider(
-        *decider, *property, instances, local::bounded_policy(p.f), 2, rng);
+        *decider, *property, instances, local::bounded_policy(p.f), 2, rng,
+        {.exec = {.pool = opts.exec.pool}});
 
     // Full patch coverage is the documented expectation from r >= 3 (small
     // r lack room for every trapezoid patch); canonical checks and the LD
@@ -104,12 +108,16 @@ bool run_promise_cycle(const ScenarioOptions& opts, std::ostream& out) {
     bool yes_ok = true;
     bool no_ok = true;
     for (int trial = 0; trial < trials; ++trial) {
-      yes_ok &= local::accepts(
-          *decider, yes,
-          local::make_random_bounded(yes.node_count(), pc.f, rng));
-      no_ok &= !local::accepts(
-          *decider, no,
-          local::make_random_bounded(no.node_count(), pc.f, rng));
+      yes_ok &= local::run_local_algorithm(
+                    *decider, yes,
+                    local::make_random_bounded(yes.node_count(), pc.f, rng),
+                    {opts.exec})
+                    .accepted;
+      no_ok &= !local::run_local_algorithm(
+                     *decider, no,
+                     local::make_random_bounded(no.node_count(), pc.f, rng),
+                     {opts.exec})
+                     .accepted;
     }
     const auto profile = local::BallProfile::of_graph(yes, 1);
     const auto audit = local::audit_indistinguishability(no, profile);

@@ -23,7 +23,8 @@ namespace {
 //  - the coverage audit certifies that every radius-1 ball of T_r occurs in
 //    a yes-instance, so no Id-oblivious horizon-1 algorithm accepting all
 //    yes-instances rejects T_r.
-QuadrantResult bounded_quadrant(bool computable, Rng& rng) {
+QuadrantResult bounded_quadrant(bool computable, Rng& rng,
+                                const exec::ExecContext& ctx) {
   // Decider runs at r = 2 (T_2 has 8191 nodes); the ball-coverage audit at
   // r = 3 where it is exhaustive-by-witness over 4.2M nodes is sampled.
   trees::TreeParams p;
@@ -41,8 +42,12 @@ QuadrantResult bounded_quadrant(bool computable, Rng& rng) {
   instances.push_back(
       trees::build_patch_instance(p, trees::subtree_patch(p, 5, 4)));
   instances.push_back(trees::build_T(p));
+  // Pool only, no cache: every ball's labels carry its T_r coordinates, so
+  // no two balls are isomorphic and class-keying one costs more than
+  // verifying it.
   const auto report = local::evaluate_decider(
-      *decider, *property, instances, local::bounded_policy(p.f), 2, rng);
+      *decider, *property, instances, local::bounded_policy(p.f), 2, rng,
+      {.exec = {.pool = ctx.pool}});
 
   trees::TreeParams audit_params;
   audit_params.r = 3;
@@ -60,7 +65,7 @@ QuadrantResult bounded_quadrant(bool computable, Rng& rng) {
 // (¬B, C): the Section-3 construction. Evidence: the id-based decider is
 // correct while every computable Id-oblivious candidate, run through the
 // separation algorithm R, misclassifies some machine.
-QuadrantResult computable_quadrant(Rng& rng) {
+QuadrantResult computable_quadrant(Rng& rng, const exec::ExecContext& ctx) {
   QuadrantResult out;
   out.quadrant = "(¬B, C)";
   out.witness = "Section 3: G(M, r) execution tables + fragments";
@@ -69,7 +74,8 @@ QuadrantResult computable_quadrant(Rng& rng) {
   policy.seed = 11;
 
   const auto property = halting::property_gmr_outputs0(3, policy, false, 4096);
-  const auto decider = halting::make_gmr_decider(3, policy, false, 4096);
+  const auto decider = halting::make_gmr_decider(
+      halting::make_gmr_verifier(3, policy, false, 4096));
   std::vector<local::LabeledGraph> instances;
   instances.push_back(
       halting::build_gmr({tm::halt_after(2, 0), 1, 3, policy, false, 4096})
@@ -77,8 +83,9 @@ QuadrantResult computable_quadrant(Rng& rng) {
   instances.push_back(
       halting::build_gmr({tm::halt_after(2, 1), 1, 3, policy, false, 4096})
           .graph);
-  const auto report = local::evaluate_decider(
-      *decider, *property, instances, local::consecutive_policy(), 1, rng);
+  const auto report =
+      local::evaluate_decider(*decider, *property, instances,
+                              local::consecutive_policy(), 1, rng, {ctx});
 
   std::vector<std::pair<std::string,
                         std::unique_ptr<local::LocalAlgorithm>>> candidates;
@@ -159,9 +166,9 @@ std::vector<QuadrantResult> evaluate_separation_matrix(
     const InstanceSource& instances) {
   Rng rng(seed);
   std::vector<QuadrantResult> out;
-  out.push_back(bounded_quadrant(/*computable=*/true, rng));
-  out.push_back(bounded_quadrant(/*computable=*/false, rng));
-  out.push_back(computable_quadrant(rng));
+  out.push_back(bounded_quadrant(/*computable=*/true, rng, ctx));
+  out.push_back(bounded_quadrant(/*computable=*/false, rng, ctx));
+  out.push_back(computable_quadrant(rng, ctx));
   out.push_back(unrestricted_quadrant(
       rng, ctx, a_star_instances > 0 ? a_star_instances : 12, instances));
   return out;

@@ -189,13 +189,13 @@ FaultRobustnessResult run_fault_robustness(
   }
 
   // The clean truth is direct ball evaluation: by the paper's section 1.2
-  // equivalence it is the clean synchronous verdict. Pool only, no cache:
-  // the panel is cheaper to evaluate than a ball is to canonicalize.
+  // equivalence it is the clean synchronous verdict. One panel extracts
+  // each ball once for all three algorithms. Pool only, no cache: the panel
+  // is cheaper to evaluate than a ball is to canonicalize.
   std::vector<std::vector<local::Verdict>> truth;
-  for (const local::LocalAlgorithm* alg : algs) {
-    truth.push_back(
-        local::run_oblivious(*alg, instance, {.exec = {.pool = exec.pool}})
-            .outputs);
+  for (local::RunResult& run : local::run_panel(
+           algs, instance, nullptr, {.exec = {.pool = exec.pool}})) {
+    truth.push_back(std::move(run.outputs));
   }
   // One flood per profile decides the whole panel: the gathered knowledge
   // does not depend on the algorithm. A `none` pass needs only the control.

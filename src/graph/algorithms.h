@@ -23,7 +23,8 @@ constexpr int kUnreached = -1;
 // (or unreachable). max_dist < 0 means unbounded.
 std::vector<int> bfs_distances(CsrSpan g, NodeId src, int max_dist = -1);
 
-// Nodes within distance `radius` of src, in BFS (distance, id) order.
+// Nodes within distance `radius` of src, in BFS (distance, id) order. The
+// tests' reference for graph::BallScratch::extract's member order.
 std::vector<NodeId> nodes_within(CsrSpan g, NodeId src, int radius);
 
 bool is_connected(CsrSpan g);

@@ -161,21 +161,40 @@ CsrGraph make_layered_tree(int depth) {
   LOCALD_CHECK(depth >= 0 && depth <= 29, "tree depth out of supported range");
   const NodeId n = static_cast<NodeId>((1LL << (depth + 1)) - 1);
   EdgeList edges;
-  for (NodeId v = 0; 2 * v + 2 < n; ++v) {
-    edges.emplace_back(v, 2 * v + 1);
-    edges.emplace_back(v, 2 * v + 2);
-  }
-  // Connect consecutive nodes on each level: level y spans
-  // [2^y - 1, 2^(y+1) - 2] in heap order, which is the natural left-to-right
-  // order of the level.
-  for (int y = 1; y <= depth; ++y) {
-    const NodeId first = static_cast<NodeId>((1LL << y) - 1);
-    const NodeId last = static_cast<NodeId>((1LL << (y + 1)) - 2);
-    for (NodeId v = first; v < last; ++v) {
-      edges.emplace_back(v, v + 1);
+  edges.reserve(2 * static_cast<std::size_t>(n));
+  for (NodeId v = 0; v < n; ++v) {
+    for (NodeId w : layered_tree_neighbors(depth, v)) {
+      if (v < w) {
+        edges.emplace_back(v, w);
+      }
     }
   }
   return CsrGraph::from_edges(n, edges);
+}
+
+std::vector<NodeId> layered_tree_neighbors(int depth, NodeId v) {
+  LOCALD_CHECK(depth >= 0 && depth <= 29, "tree depth out of supported range");
+  const int y = TreeIndex::level(v);
+  LOCALD_CHECK(y <= depth, "node outside the layered tree");
+  // Level y spans [2^y - 1, 2^(y+1) - 2] in heap order, which is the
+  // natural left-to-right order of the level.
+  const NodeId first = static_cast<NodeId>((1LL << y) - 1);
+  const NodeId last = static_cast<NodeId>((1LL << (y + 1)) - 2);
+  std::vector<NodeId> out;
+  if (v > 0) {
+    out.push_back((v - 1) / 2);
+  }
+  if (v > first) {
+    out.push_back(v - 1);
+  }
+  if (v < last) {
+    out.push_back(v + 1);
+  }
+  if (y < depth) {
+    out.push_back(2 * v + 1);
+    out.push_back(2 * v + 2);
+  }
+  return out;
 }
 
 CsrGraph make_hypercube(int dims) {

@@ -67,6 +67,13 @@ CsrGraph make_caterpillar(NodeId spine, NodeId legs);
 // (Figure 1). Heap indexing as above: level y spans ids [2^y - 1, 2^(y+1) - 2].
 CsrGraph make_layered_tree(int depth);
 
+// Node v's neighbours in make_layered_tree(depth), ascending: its parent,
+// its level predecessor and successor, its children. The one definition of
+// the layered tree's adjacency — make_layered_tree is built from it, and
+// the Section-2 audit reads single neighbourhoods of T_r off it without
+// materializing the tree.
+std::vector<NodeId> layered_tree_neighbors(int depth, NodeId v);
+
 // d-dimensional hypercube (2^d nodes).
 CsrGraph make_hypercube(int dims);
 

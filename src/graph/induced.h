@@ -1,9 +1,9 @@
 // Induced subgraphs with bidirectional node maps.
 //
-// The Section-2/3 instance builders cut induced subgraphs out of a host
-// graph and need to translate node ids in both directions. (Hot-path ball
-// extraction no longer routes through here — see graph/ball_slice.h for the
-// zero-copy slice arena; this is the owning, general-subset variant.)
+// The owning, general-subset variant of ball extraction. Nothing in the
+// library extracts balls through it: graph/ball_slice.h's zero-copy slice
+// arena is the one extraction path. Together with `nodes_within` it stays
+// as the straightforward reference the tests compare that arena against.
 #pragma once
 
 #include <unordered_map>

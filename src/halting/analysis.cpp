@@ -29,16 +29,11 @@ std::optional<tm::TuringMachine> machine_of(const BallView& ball) {
 }  // namespace
 
 std::unique_ptr<local::LocalAlgorithm> make_gmr_decider(
-    int fragment_size, tm::FragmentPolicy policy, bool pyramidal,
-    long long step_budget, long long sim_cap) {
-  auto verifier = std::make_shared<std::unique_ptr<local::LocalAlgorithm>>(
-      make_gmr_verifier(fragment_size, policy, pyramidal, step_budget));
-  return local::make_id_aware(
-      cat("decide-G(M,r)(k=", fragment_size, ")"), 2,
-      [verifier, sim_cap](const BallView& ball) {
-        if ((*verifier)->evaluate(ball.without_ids()) == Verdict::no) {
-          return Verdict::no;
-        }
+    std::shared_ptr<const local::LocalAlgorithm> verifier, long long sim_cap) {
+  std::string name = cat("decide-G(M,r)[", verifier->name(), "]");
+  return std::make_unique<local::GatedAlgorithm>(
+      std::move(name), std::move(verifier),
+      [sim_cap](const BallView& ball) {
         const auto m = machine_of(ball);
         if (!m.has_value()) {
           return Verdict::no;
@@ -122,22 +117,22 @@ std::unique_ptr<local::LocalAlgorithm> candidate_always_yes() {
 std::unique_ptr<local::LocalAlgorithm> candidate_structure_only(
     int fragment_size, tm::FragmentPolicy policy, bool pyramidal,
     long long step_budget) {
-  auto verifier = std::make_shared<std::unique_ptr<local::LocalAlgorithm>>(
-      make_gmr_verifier(fragment_size, policy, pyramidal, step_budget));
+  std::shared_ptr<const local::LocalAlgorithm> verifier =
+      make_gmr_verifier(fragment_size, policy, pyramidal, step_budget);
   return local::make_oblivious(
       "candidate-structure-only", 2,
-      [verifier](const BallView& ball) { return (*verifier)->evaluate(ball); });
+      [verifier](const BallView& ball) { return verifier->evaluate(ball); });
 }
 
 std::unique_ptr<local::LocalAlgorithm> candidate_bounded_simulation(
     int fragment_size, tm::FragmentPolicy policy, bool pyramidal,
     long long step_budget, long long sim_budget) {
-  auto verifier = std::make_shared<std::unique_ptr<local::LocalAlgorithm>>(
-      make_gmr_verifier(fragment_size, policy, pyramidal, step_budget));
+  std::shared_ptr<const local::LocalAlgorithm> verifier =
+      make_gmr_verifier(fragment_size, policy, pyramidal, step_budget);
   return local::make_oblivious(
       cat("candidate-simulate-", sim_budget), 2,
       [verifier, sim_budget](const BallView& ball) {
-        if ((*verifier)->evaluate(ball) == Verdict::no) {
+        if (verifier->evaluate(ball) == Verdict::no) {
           return Verdict::no;
         }
         const auto m = machine_of(ball);

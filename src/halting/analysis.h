@@ -18,13 +18,15 @@ namespace locald::halting {
 // ---- LD side ---------------------------------------------------------------
 
 // Id-aware decider for P = { G(M, r) : M outputs 0 } (Theorem 2, first
-// half): verify the structure Id-obliviously, then simulate the machine
-// decoded from the labels for Id(v) steps (capped at sim_cap; ids in our
-// instances are far below the cap). Some node's id reaches M's runtime
-// because G(M, r) has more nodes than M has steps.
+// half): gated on `verifier` (a make_gmr_verifier), it verifies the
+// structure Id-obliviously, then simulates the machine decoded from the
+// labels for Id(v) steps (capped at sim_cap; ids in our instances are far
+// below the cap). Some node's id reaches M's runtime because G(M, r) has
+// more nodes than M has steps. A panel holding both the verifier and the
+// decider verifies each ball once.
 std::unique_ptr<local::LocalAlgorithm> make_gmr_decider(
-    int fragment_size, tm::FragmentPolicy policy, bool pyramidal,
-    long long step_budget, long long sim_cap = 1'000'000);
+    std::shared_ptr<const local::LocalAlgorithm> verifier,
+    long long sim_cap = 1'000'000);
 
 // ---- neighbourhood generator B (property P3) --------------------------------
 

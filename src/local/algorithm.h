@@ -72,6 +72,43 @@ inline std::unique_ptr<LocalAlgorithm> make_id_aware(
                                            std::move(fn));
 }
 
+// An id-aware algorithm of the shape both of the paper's deciders have: an
+// Id-oblivious gate, then an id-dependent tail (Section 3.2: verify G(M, r),
+// then run M for min(Id(v), cap) steps; Section 2: verify P', then reject
+// ids >= R(r)). The verdict is no wherever the gate, run on the stripped
+// ball, says no, and the tail's verdict elsewhere. The simulator knows the
+// shape: it evaluates the gate through the verdict cache and, when the gate
+// itself is in the same panel, reuses that node's gate verdict and runs
+// only the tail (see run_panel in local/simulator.h).
+class GatedAlgorithm final : public LocalAlgorithm {
+ public:
+  GatedAlgorithm(std::string name, std::shared_ptr<const LocalAlgorithm> gate,
+                 LambdaAlgorithm::Fn tail)
+      : name_(std::move(name)), gate_(std::move(gate)), tail_(std::move(tail)) {
+    LOCALD_CHECK(gate_ != nullptr, "gate must be set");
+    LOCALD_CHECK(gate_->id_oblivious(), "a gate must be Id-oblivious");
+    LOCALD_CHECK(static_cast<bool>(tail_), "tail function must be set");
+  }
+
+  std::string name() const override { return name_; }
+  // The gate's horizon: gate and tail read the same ball.
+  int horizon() const override { return gate_->horizon(); }
+  bool id_oblivious() const override { return false; }
+  Verdict evaluate(const BallView& ball) const override {
+    return gate_->evaluate(ball.without_ids()) == Verdict::no ? Verdict::no
+                                                              : tail(ball);
+  }
+
+  const LocalAlgorithm& gate() const { return *gate_; }
+  // The id-dependent part alone; meaningful only where the gate said yes.
+  Verdict tail(const BallView& ball) const { return tail_(ball); }
+
+ private:
+  std::string name_;
+  std::shared_ptr<const LocalAlgorithm> gate_;
+  LambdaAlgorithm::Fn tail_;
+};
+
 // Randomized local algorithm (Section 3.3): an unbounded random string per
 // node, modelled as a per-node RNG stream.
 class RandomizedLocalAlgorithm {

@@ -2,8 +2,6 @@
 
 #include <unordered_set>
 
-#include "graph/algorithms.h"
-#include "graph/induced.h"
 #include "support/hash.h"
 
 namespace locald::local {
@@ -62,32 +60,29 @@ Ball Ball::with_ids(std::vector<Id> new_ids) const {
   return out;
 }
 
+Ball BallView::materialize() const {
+  const auto n = static_cast<std::size_t>(g.node_count());
+  Ball out;
+  out.g = graph::CsrGraph(g);
+  out.center = center;
+  out.radius = radius;
+  if (to_host != nullptr) {
+    out.to_host.assign(to_host, to_host + n);
+  }
+  out.labels.reserve(n);
+  for (graph::NodeId v = 0; v < g.node_count(); ++v) {
+    out.labels.push_back(label(v));
+  }
+  if (ids != nullptr) {
+    out.ids = std::vector<Id>(ids, ids + n);
+  }
+  return out;
+}
+
 Ball extract_ball(const LabeledGraph& g, const IdAssignment* ids,
                   graph::NodeId v, int radius) {
-  if (ids != nullptr) {
-    LOCALD_CHECK(ids->node_count() == g.node_count(),
-                 "identifier assignment size mismatch");
-  }
-  const auto members = graph::nodes_within(g.graph(), v, radius);
-  auto sub = graph::induced_subgraph(g.graph(), members);
-  Ball ball;
-  ball.g = std::move(sub.graph);
-  ball.to_host = std::move(sub.to_parent);
-  ball.center = sub.from_parent.at(v);
-  ball.radius = radius;
-  ball.labels.reserve(members.size());
-  for (graph::NodeId host : ball.to_host) {
-    ball.labels.push_back(g.label(host));
-  }
-  if (ids != nullptr) {
-    std::vector<Id> ball_ids;
-    ball_ids.reserve(members.size());
-    for (graph::NodeId host : ball.to_host) {
-      ball_ids.push_back(ids->of(host));
-    }
-    ball.ids = std::move(ball_ids);
-  }
-  return ball;
+  BallScratch scratch;
+  return scratch.extract(g, ids, v, radius).materialize();
 }
 
 BallView BallScratch::extract(const LabeledGraph& g, const IdAssignment* ids,

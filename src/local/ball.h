@@ -16,10 +16,10 @@
 //    `local::BallScratch`, an owning `Ball`, or the id vector passed to
 //    `with_ids`) is alive.
 //  - `Ball` owns its storage (a `CsrGraph` plus label/id vectors); it is
-//    what `extract_ball` returns when the caller needs the ball to outlive
-//    the extraction (audits that hold two balls at once, the gather
-//    protocol's ball reconstruction, pre-extracted sampling loops). It
-//    converts implicitly to `BallView`.
+//    what `BallView::materialize` and `extract_ball` return when the
+//    caller needs the ball to outlive the extraction (audits that hold two
+//    balls at once, the gather protocol's ball reconstruction,
+//    pre-extracted sampling loops). It converts implicitly to `BallView`.
 //
 // `canonical_encoding` is a complete isomorphism invariant of the ball
 // (centre distinguished, labels exact, ids exact when present): two balls
@@ -40,6 +40,8 @@
 #include "local/labeled_graph.h"
 
 namespace locald::local {
+
+struct Ball;
 
 struct BallView {
   graph::CsrSpan g;
@@ -89,6 +91,9 @@ struct BallView {
     out.ids = nullptr;
     return out;
   }
+
+  // Owning copy of this ball, for when it must outlive its backing storage.
+  Ball materialize() const;
 
   // Same ball with identifiers replaced (used by the Id-oblivious
   // simulation A* to test alternative assignments). Sizes must match;
@@ -160,7 +165,9 @@ struct Ball {
 };
 
 // Extract (G, x) |` B(v, radius) as an owning ball; pass `ids` to include
-// identifiers. Allocates per call — hot paths use a `BallScratch` instead.
+// identifiers. One-shot: the extraction arena lives for this call only and
+// is sized to the host, so a loop over many centres keeps one BallScratch
+// and materializes the views it needs to keep instead.
 Ball extract_ball(const LabeledGraph& g, const IdAssignment* ids,
                   graph::NodeId v, int radius);
 

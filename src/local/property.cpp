@@ -24,7 +24,8 @@ DeciderReport evaluate_decider(const LocalAlgorithm& alg,
                                const Property& property,
                                const std::vector<LabeledGraph>& instances,
                                const IdPolicy& policy,
-                               int assignments_per_instance, Rng& rng) {
+                               int assignments_per_instance, Rng& rng,
+                               const RunOptions& options) {
   LOCALD_CHECK(assignments_per_instance >= 1,
                "need at least one assignment per instance");
   DeciderReport report;
@@ -37,7 +38,7 @@ DeciderReport evaluate_decider(const LocalAlgorithm& alg,
     for (int a = 0; a < assignments_per_instance; ++a) {
       const IdAssignment ids = policy(inst.node_count(), rng);
       ++report.evaluations;
-      const RunResult run = run_local_algorithm(alg, inst, ids);
+      const RunResult run = run_local_algorithm(alg, inst, ids, options);
       if (run.accepted != member) {
         DeciderFailure f;
         f.instance_index = i;

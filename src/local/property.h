@@ -66,11 +66,13 @@ struct DeciderReport {
 
 // Checks the decision rule of Section 1.2 on every instance:
 // member => accepted under every assignment; non-member => rejected under
-// every assignment.
+// every assignment. Assignments are drawn from `rng` in (instance,
+// assignment) order; `options` says how each run executes.
 DeciderReport evaluate_decider(const LocalAlgorithm& alg,
                                const Property& property,
                                const std::vector<LabeledGraph>& instances,
                                const IdPolicy& policy,
-                               int assignments_per_instance, Rng& rng);
+                               int assignments_per_instance, Rng& rng,
+                               const RunOptions& options = {});
 
 }  // namespace locald::local

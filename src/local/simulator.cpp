@@ -1,5 +1,6 @@
 #include "local/simulator.h"
 
+#include <algorithm>
 #include <atomic>
 
 #include "obs/trace.h"
@@ -44,66 +45,131 @@ Verdict decide_ball(const LocalAlgorithm& alg, const std::string& alg_name,
   return out;
 }
 
-int run_radius(const LocalAlgorithm& alg, const RunOptions& options) {
-  const int r = options.radius.value_or(alg.horizon());
-  LOCALD_CHECK(r >= 0, "visibility radius must be non-negative");
-  return r;
-}
+// One unit of per-node work in a panel. Each algorithm maps to one step;
+// a gated algorithm's gate is a step of its own, shared by every algorithm
+// that is or gates on it and always ordered before them.
+struct PanelStep {
+  const LocalAlgorithm* alg = nullptr;
+  // Set iff the step is a gated algorithm's tail; `gate_step` then indexes
+  // its gate.
+  const GatedAlgorithm* gated = nullptr;
+  std::size_t gate_step = 0;
+  std::string cache_name;  // memo key prefix of an Id-oblivious step
+};
 
-RunResult run_impl(const LocalAlgorithm& alg, const LabeledGraph& g,
-                   const IdAssignment* ids, const RunOptions& options) {
-  RunResult result;
+}  // namespace
+
+std::vector<RunResult> run_panel(const std::vector<const LocalAlgorithm*>& algs,
+                                 const LabeledGraph& g, const IdAssignment* ids,
+                                 const RunOptions& options) {
+  LOCALD_CHECK(!algs.empty(), "a panel needs at least one algorithm");
+  const int horizon = algs.front()->horizon();
+  bool any_id_aware = false;
+  for (const LocalAlgorithm* alg : algs) {
+    LOCALD_CHECK(alg->horizon() == horizon,
+                 "one panel serves algorithms of one horizon");
+    any_id_aware = any_id_aware || !alg->id_oblivious();
+  }
+  if (any_id_aware) {
+    LOCALD_CHECK(ids != nullptr, "id-aware algorithms need identifiers");
+  }
+  if (ids != nullptr) {
+    LOCALD_CHECK(ids->node_count() == g.node_count(),
+                 "identifier assignment size mismatch");
+  }
+  const int radius = options.radius.value_or(horizon);
+  LOCALD_CHECK(radius >= 0, "visibility radius must be non-negative");
+
+  exec::VerdictCache* cache = options.exec.cache;
+  std::vector<PanelStep> steps;
+  const auto oblivious_step = [&](const LocalAlgorithm* alg) {
+    for (std::size_t s = 0; s < steps.size(); ++s) {
+      if (steps[s].alg == alg && steps[s].gated == nullptr) {
+        return s;
+      }
+    }
+    steps.push_back({alg, nullptr, 0, cache != nullptr ? alg->name() : ""});
+    return steps.size() - 1;
+  };
+  std::vector<std::size_t> step_of(algs.size());
+  std::string names;
+  for (std::size_t a = 0; a < algs.size(); ++a) {
+    const LocalAlgorithm* alg = algs[a];
+    names += (a == 0 ? "" : ",") + alg->name();
+    if (const auto* gated = dynamic_cast<const GatedAlgorithm*>(alg)) {
+      const std::size_t gate = oblivious_step(&gated->gate());
+      steps.push_back({alg, gated, gate, ""});
+      step_of[a] = steps.size() - 1;
+    } else if (alg->id_oblivious()) {
+      step_of[a] = oblivious_step(alg);
+    } else {
+      steps.push_back({alg, nullptr, 0, ""});
+      step_of[a] = steps.size() - 1;
+    }
+  }
+
   const std::size_t n = static_cast<std::size_t>(g.node_count());
-  result.outputs.assign(n, Verdict::yes);
-  const std::string alg_name = options.exec.cache != nullptr ? alg.name() : "";
-  // An Id-oblivious algorithm never sees ids: skip gathering them at all
-  // instead of stripping afterwards.
-  const IdAssignment* visible_ids = alg.id_oblivious() ? nullptr : ids;
-  const int radius = run_radius(alg, options);
+  std::vector<std::vector<Verdict>> verdicts(steps.size(),
+                                             std::vector<Verdict>(n));
+  const IdAssignment* visible_ids = any_id_aware ? ids : nullptr;
   // One stage span for the whole node loop: extraction + canonical-encoding
   // memo keys + evaluation. Per-ball spans would swamp the trace at 10^6
   // nodes, so the inner pipeline is visible via the census/workload spans.
-  obs::Span span("local-run", alg.name());
+  obs::Span span("local-run", names);
   options.exec.for_each(n, [&](std::size_t i) {
     // One extraction arena per worker thread, reused across all nodes that
     // thread processes. Nested parallel_for runs inline on the calling
     // worker, so no second extraction can interleave with a live view.
     static thread_local BallScratch scratch;
-    const auto v = static_cast<graph::NodeId>(i);
-    const BallView ball = scratch.extract(g, visible_ids, v, radius);
-    result.outputs[i] = decide_ball(alg, alg_name, ball, options.exec.cache);
+    const BallView ball =
+        scratch.extract(g, visible_ids, static_cast<graph::NodeId>(i), radius);
+    for (std::size_t s = 0; s < steps.size(); ++s) {
+      const PanelStep& step = steps[s];
+      Verdict out;
+      if (step.gated != nullptr) {
+        out = verdicts[step.gate_step][i] == Verdict::no
+                  ? Verdict::no
+                  : step.gated->tail(ball);
+      } else if (step.alg->id_oblivious()) {
+        out = decide_ball(*step.alg, step.cache_name, ball.without_ids(),
+                          cache);
+      } else {
+        out = step.alg->evaluate(ball);
+      }
+      verdicts[s][i] = out;
+    }
   });
+
   // Scheduling-independent reduction: node order, after every slot is final.
-  for (std::size_t i = 0; i < n; ++i) {
-    if (result.outputs[i] == Verdict::no) {
-      result.accepted = false;
-      result.first_rejecting = static_cast<graph::NodeId>(i);
-      break;
+  std::vector<RunResult> results(algs.size());
+  for (std::size_t a = 0; a < algs.size(); ++a) {
+    RunResult& result = results[a];
+    std::vector<Verdict>& row = verdicts[step_of[a]];
+    const bool shared =
+        std::count(step_of.begin(), step_of.end(), step_of[a]) > 1;
+    result.outputs = shared ? row : std::move(row);
+    for (std::size_t i = 0; i < n; ++i) {
+      if (result.outputs[i] == Verdict::no) {
+        result.accepted = false;
+        result.first_rejecting = static_cast<graph::NodeId>(i);
+        break;
+      }
     }
   }
-  return result;
+  return results;
 }
-
-}  // namespace
 
 RunResult run_local_algorithm(const LocalAlgorithm& alg, const LabeledGraph& g,
                               const IdAssignment& ids,
                               const RunOptions& options) {
-  LOCALD_CHECK(ids.node_count() == g.node_count(),
-               "identifier assignment size mismatch");
-  return run_impl(alg, g, &ids, options);
+  return std::move(run_panel({&alg}, g, &ids, options).front());
 }
 
 RunResult run_oblivious(const LocalAlgorithm& alg, const LabeledGraph& g,
                         const RunOptions& options) {
   LOCALD_CHECK(alg.id_oblivious(),
                "run_oblivious requires an Id-oblivious algorithm");
-  return run_impl(alg, g, nullptr, options);
-}
-
-bool accepts(const LocalAlgorithm& alg, const LabeledGraph& g,
-             const IdAssignment& ids) {
-  return run_local_algorithm(alg, g, ids).accepted;
+  return std::move(run_panel({&alg}, g, nullptr, options).front());
 }
 
 IdDependenceProbe probe_id_dependence(const LocalAlgorithm& alg,
@@ -176,13 +242,22 @@ AcceptanceEstimate estimate_acceptance(const RandomizedLocalAlgorithm& alg,
                  "identifier assignment size mismatch");
   }
   // Balls are fixed across trials (only the coins change): extract each one
-  // once — owning, because the balls outlive any per-thread scratch.
+  // once — owning, because the balls outlive the extraction. A scratch is
+  // sized to the host, so each contiguous block of centres owns one, scoped
+  // to this loop.
   const IdAssignment* visible_ids = alg.id_oblivious() ? nullptr : ids;
   const std::size_t n = static_cast<std::size_t>(g.node_count());
   std::vector<Ball> balls(n);
-  options.exec.for_each(n, [&](std::size_t i) {
-    balls[i] = extract_ball(g, visible_ids, static_cast<graph::NodeId>(i),
-                            alg.horizon());
+  const std::size_t blocks =
+      std::min(n, static_cast<std::size_t>(options.exec.parallelism()));
+  options.exec.for_each(blocks, [&](std::size_t b) {
+    BallScratch scratch;
+    for (std::size_t i = b * n / blocks; i < (b + 1) * n / blocks; ++i) {
+      balls[i] = scratch
+                     .extract(g, visible_ids, static_cast<graph::NodeId>(i),
+                              alg.horizon())
+                     .materialize();
+    }
   });
   std::atomic<int> accepted{0};
   options.exec.for_each(static_cast<std::size_t>(trials), [&](std::size_t t) {

@@ -44,19 +44,29 @@ struct RunResult {
   std::optional<graph::NodeId> first_rejecting;
 };
 
-// Evaluates the algorithm on every node. If the algorithm declares itself
-// Id-oblivious, identifiers are stripped from every ball before evaluation.
+// The direct-evaluation node loop: evaluates every algorithm of `algs` on
+// every node, extracting each node's ball once (carrying identifiers iff
+// some algorithm is id-aware; `ids` may be null only if none is). The
+// algorithms share one horizon, and `options.radius` overrides it for all.
+//  - Id-oblivious algorithms see the stripped ball, through the verdict
+//    cache when one is wired up.
+//  - A GatedAlgorithm's gate is evaluated the same way, once per node, even
+//    when the gate itself or other algorithms gated on it are in the panel;
+//    its id-dependent tail runs only where the gate said yes.
+//  - Other id-aware algorithms see the full ball, uncached: a ball keyed
+//    with its identifiers almost never recurs.
+// results[a] is exactly what a one-algorithm panel of algs[a] returns.
+std::vector<RunResult> run_panel(const std::vector<const LocalAlgorithm*>& algs,
+                                 const LabeledGraph& g, const IdAssignment* ids,
+                                 const RunOptions& options = {});
+
+// One-algorithm panels. run_oblivious needs no identifier assignment and
+// accepts only Id-oblivious algorithms.
 RunResult run_local_algorithm(const LocalAlgorithm& alg, const LabeledGraph& g,
                               const IdAssignment& ids,
                               const RunOptions& options = {});
-
-// Runs an Id-oblivious algorithm without any identifier assignment.
 RunResult run_oblivious(const LocalAlgorithm& alg, const LabeledGraph& g,
                         const RunOptions& options = {});
-
-// Global verdict only.
-bool accepts(const LocalAlgorithm& alg, const LabeledGraph& g,
-             const IdAssignment& ids);
 
 // Empirical probe of assumption-dependence: evaluates the algorithm under
 // `trials` random id assignments drawn from [0, universe) and reports

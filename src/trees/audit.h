@@ -7,7 +7,9 @@
 // combinatorially (the witness patch contains N[v] with v off-border, and
 // patches are induced, so the balls agree by construction) and re-verified
 // on request by comparing canonical ball encodings against the actually
-// built instance.
+// built instance. The T_r side of that comparison is read off the graph
+// generator's adjacency (graph::layered_tree_neighbors) one closed
+// neighbourhood N[v] at a time; T_r itself is never materialized.
 //
 // The audit also reports how many nodes admit an ALIGNED-SUBTREE witness:
 // under the literal reading of the paper's H <= r T_r this is strictly less

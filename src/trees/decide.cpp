@@ -216,8 +216,10 @@ Verdict check_pivot(const TreeParams& p, Coord R, const BallView& ball,
 std::unique_ptr<local::LocalAlgorithm> make_P_prime_verifier(
     const TreeParams& p) {
   const Coord R = p.capital_R();
+  // The name pins (r, f), which fix R(r): it keys the verdict cache.
   return local::make_oblivious(
-      cat("verify-P'(r=", p.r, ")"), 1, [p, R](const BallView& ball) {
+      cat("verify-P'(r=", p.r, ",f=", p.f.name(), ")"), 1,
+      [p, R](const BallView& ball) {
         const auto nodes = parse_ball(ball, p.r, R);
         if (!nodes.has_value()) {
           return Verdict::no;
@@ -234,17 +236,13 @@ std::unique_ptr<local::LocalAlgorithm> make_P_prime_verifier(
 
 std::unique_ptr<local::LocalAlgorithm> make_P_decider(const TreeParams& p) {
   const Coord R = p.capital_R();
-  auto verifier = std::make_shared<std::unique_ptr<local::LocalAlgorithm>>(
-      make_P_prime_verifier(p));
-  return local::make_id_aware(
-      cat("decide-P(r=", p.r, ",f=", p.f.name(), ")"), 1,
-      [R, verifier](const BallView& ball) {
+  return std::make_unique<local::GatedAlgorithm>(
+      cat("decide-P(r=", p.r, ",f=", p.f.name(), ")"),
+      make_P_prime_verifier(p), [R](const BallView& ball) {
         // Identifier leak: an id of at least R(r) proves n > 2^{r+1}, i.e.
         // the instance cannot be a patch.
-        if (ball.center_id() >= static_cast<local::Id>(R)) {
-          return Verdict::no;
-        }
-        return (*verifier)->evaluate(ball.without_ids());
+        return ball.center_id() >= static_cast<local::Id>(R) ? Verdict::no
+                                                             : Verdict::yes;
       });
 }
 

@@ -4,7 +4,7 @@
 //    patch instances and T_r ("the input is small, or large — never in
 //    between"), implementing the paper's coordinate checks plus the pivot's
 //    border reconstruction.
-//  - The P decider reads identifiers: it runs the P' verifier and
+//  - The P decider reads identifiers: gated on the P' verifier, it
 //    additionally rejects at any node whose identifier is at least
 //    R(r) = f(2^{r+1} + 1). Under assumption (B) every patch instance keeps
 //    all ids below R(r) while T_r, having 2^{R+1} - 1 nodes, must contain an

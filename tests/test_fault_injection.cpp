@@ -136,12 +136,12 @@ TEST_P(DeciderStability, VerdictStableAcrossBoundedAssignments) {
       trees::build_patch_instance(p, trees::subtree_patch(p, 1, 2));
   for (int i = 0; i < 10; ++i) {
     const auto ids = local::make_random_bounded(yes.node_count(), p.f, rng);
-    EXPECT_TRUE(local::accepts(*decider, yes, ids));
+    EXPECT_TRUE(local::run_local_algorithm(*decider, yes, ids).accepted);
   }
   const auto T = trees::build_T(p);
   for (int i = 0; i < 3; ++i) {
     const auto ids = local::make_random_bounded(T.node_count(), p.f, rng);
-    EXPECT_FALSE(local::accepts(*decider, T, ids));
+    EXPECT_FALSE(local::run_local_algorithm(*decider, T, ids).accepted);
   }
 }
 

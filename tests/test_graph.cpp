@@ -328,5 +328,36 @@ TEST_P(LayeredTreeSweep, NodeAndEdgeCounts) {
 INSTANTIATE_TEST_SUITE_P(Depths, LayeredTreeSweep,
                          ::testing::Values(0, 1, 2, 3, 5, 8, 12));
 
+// The edge-list construction make_layered_tree used before its CSR came
+// from layered_tree_neighbors: heap tree edges, then each level's path.
+CsrGraph reference_layered_tree(int depth) {
+  const NodeId n = static_cast<NodeId>((1LL << (depth + 1)) - 1);
+  std::vector<std::pair<NodeId, NodeId>> edges;
+  for (NodeId v = 0; 2 * v + 2 < n; ++v) {
+    edges.emplace_back(v, 2 * v + 1);
+    edges.emplace_back(v, 2 * v + 2);
+  }
+  for (int y = 1; y <= depth; ++y) {
+    const NodeId first = static_cast<NodeId>((1LL << y) - 1);
+    const NodeId last = static_cast<NodeId>((1LL << (y + 1)) - 2);
+    for (NodeId v = first; v < last; ++v) {
+      edges.emplace_back(v, v + 1);
+    }
+  }
+  return CsrGraph::from_edges(n, edges);
+}
+
+TEST(LayeredTree, NeighborsMatchTheEdgeListConstruction) {
+  for (int depth = 0; depth <= 14; ++depth) {
+    const CsrGraph want = reference_layered_tree(depth);
+    ASSERT_EQ(make_layered_tree(depth), want) << "depth " << depth;
+    for (NodeId v = 0; v < want.node_count(); ++v) {
+      ASSERT_EQ(layered_tree_neighbors(depth, v), want.neighbors(v).to_vector())
+          << "depth " << depth << " node " << v;
+    }
+  }
+  EXPECT_THROW(layered_tree_neighbors(2, 7), Error);  // level 3 > depth 2
+}
+
 }  // namespace
 }  // namespace locald::graph

@@ -5,11 +5,14 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
+#include <memory>
 #include <string>
 #include <utility>
 #include <vector>
 
 #include "exec/thread_pool.h"
+#include "exec/verdict_cache.h"
 #include "graph/generators.h"
 #include "graph/pyramid.h"
 #include "halting/analysis.h"
@@ -246,8 +249,8 @@ TEST(Verifier, RejectsPlainGarbage) {
 TEST(Decider, SeparatesOutput0FromOutput1) {
   const GmrParams yes_params = make_params(tm::halt_after(2, 0));
   const GmrParams no_params = make_params(tm::halt_after(2, 1));
-  const auto decider =
-      make_gmr_decider(3, yes_params.policy, false, yes_params.step_budget);
+  const auto decider = make_gmr_decider(
+      make_gmr_verifier(3, yes_params.policy, false, yes_params.step_budget));
   const auto property = property_gmr_outputs0(3, yes_params.policy, false,
                                               yes_params.step_budget);
   std::vector<LabeledGraph> instances;
@@ -418,6 +421,143 @@ TEST(Verifier, ConcurrentEvaluationMatchesSerial) {
     const local::RunResult parallel =
         local::run_oblivious(*verifier, g, {.exec = {.pool = &pool}});
     EXPECT_EQ(parallel.outputs, serial.outputs) << "repetition " << rep;
+  }
+}
+
+// ---- run_panel: the verifier and the decider gated on it -------------------
+
+// Yes (output 0), no (output 1: only the decider's tail rejects) and a
+// relabelled yes-instance whose gate, the verifier, rejects.
+std::vector<LabeledGraph> panel_instances() {
+  const GmrParams yes = make_params(tm::halt_after(2, 0), 60);
+  std::vector<LabeledGraph> out;
+  out.push_back(build_gmr(yes).graph);
+  out.push_back(build_gmr(make_params(tm::halt_after(2, 1), 60)).graph);
+  LabeledGraph bad = out.front();
+  const auto d = decode_label(bad.label(5));  // table cell (1, 1)
+  bad.set_label(5, cell_label(yes.machine, yes.r, 1, 1,
+                              (d->code + 1) % yes.machine.cell_code_count()));
+  out.push_back(std::move(bad));
+  return out;
+}
+
+std::shared_ptr<const local::LocalAlgorithm> panel_verifier() {
+  const GmrParams params = make_params(tm::halt_after(2, 0), 60);
+  return make_gmr_verifier(3, params.policy, false, params.step_budget);
+}
+
+void expect_same_run(const local::RunResult& got, const local::RunResult& want,
+                     const std::string& what) {
+  EXPECT_EQ(got.outputs, want.outputs) << what;
+  EXPECT_EQ(got.accepted, want.accepted) << what;
+  EXPECT_EQ(got.first_rejecting, want.first_rejecting) << what;
+}
+
+TEST(Panel, MatchesSeparateRunsAtEveryThreadCount) {
+  const std::vector<LabeledGraph> instances = panel_instances();
+  for (std::size_t i = 0; i < instances.size(); ++i) {
+    const LabeledGraph& g = instances[i];
+    const auto ids = local::make_consecutive(g.node_count());
+    // References: separate serial, uncached runs with private verifiers.
+    const local::RunResult want_verify =
+        local::run_oblivious(*panel_verifier(), g);
+    const local::RunResult want_decide = local::run_local_algorithm(
+        *make_gmr_decider(panel_verifier()), g, ids);
+    EXPECT_EQ(want_verify.accepted, i != 2) << "instance " << i;
+    EXPECT_EQ(want_decide.accepted, i == 0) << "instance " << i;
+    for (int threads : {1, 2, 8}) {
+      exec::ThreadPool pool(threads);
+      for (bool cached : {false, true}) {
+        exec::VerdictCache cache;
+        const exec::ExecContext ctx{&pool, cached ? &cache : nullptr};
+        const auto verifier = panel_verifier();
+        const auto decider = make_gmr_decider(verifier);
+        const auto runs = local::run_panel({verifier.get(), decider.get()}, g,
+                                           &ids, {ctx});
+        const std::string what = "instance " + std::to_string(i) + ", " +
+                                 std::to_string(threads) + " threads" +
+                                 (cached ? ", cached" : "");
+        ASSERT_EQ(runs.size(), 2u);
+        expect_same_run(runs[0], want_verify, what + ", verifier");
+        expect_same_run(runs[1], want_decide, what + ", decider");
+      }
+    }
+  }
+}
+
+// Wraps an algorithm and counts its evaluate() calls.
+class CountingAlgorithm final : public local::LocalAlgorithm {
+ public:
+  explicit CountingAlgorithm(std::shared_ptr<const local::LocalAlgorithm> inner)
+      : inner_(std::move(inner)) {}
+  std::string name() const override { return inner_->name(); }
+  int horizon() const override { return inner_->horizon(); }
+  bool id_oblivious() const override { return inner_->id_oblivious(); }
+  Verdict evaluate(const local::BallView& ball) const override {
+    calls_.fetch_add(1, std::memory_order_relaxed);
+    return inner_->evaluate(ball);
+  }
+  int calls() const { return calls_.load(); }
+
+ private:
+  std::shared_ptr<const local::LocalAlgorithm> inner_;
+  mutable std::atomic<int> calls_{0};
+};
+
+// The clock-free guard against evaluating a ball twice: within one panel
+// the gate runs at most once per node (exactly once when uncached), whether
+// or not the gate itself is a panel member and however many algorithms are
+// gated on it, and the tail runs exactly on the nodes where the gate said
+// yes.
+TEST(Panel, GateRunsOncePerNodeAndTailOnlyWhereItSaidYes) {
+  exec::ThreadPool pool(4);
+  for (const LabeledGraph& g : panel_instances()) {
+    const auto ids = local::make_consecutive(g.node_count());
+    const auto n = static_cast<std::size_t>(g.node_count());
+    const std::vector<Verdict> gate_truth =
+        local::run_oblivious(*panel_verifier(), g).outputs;
+    for (bool cached : {false, true}) {
+      for (int shape = 0; shape < 3; ++shape) {
+        exec::VerdictCache cache;
+        const exec::ExecContext ctx{&pool, cached ? &cache : nullptr};
+        const auto gate = std::make_shared<CountingAlgorithm>(panel_verifier());
+        std::vector<std::atomic<int>> tail_calls(n);
+        const auto tail = [&](const local::BallView& ball) {
+          EXPECT_TRUE(ball.has_ids());
+          tail_calls[static_cast<std::size_t>(ball.host_of(ball.center))]
+              .fetch_add(1, std::memory_order_relaxed);
+          return ball.center_id() % 2 == 0 ? Verdict::yes : Verdict::no;
+        };
+        const local::GatedAlgorithm gated("gated", gate, tail);
+        const local::GatedAlgorithm also_gated("also-gated", gate, tail);
+        // Shapes: gate and gated; gated alone; two algorithms on one gate.
+        std::vector<const local::LocalAlgorithm*> algs;
+        if (shape == 0) algs = {gate.get(), &gated};
+        if (shape == 1) algs = {&gated};
+        if (shape == 2) algs = {&gated, &also_gated};
+        const auto runs = local::run_panel(algs, g, &ids, {ctx});
+        const std::string what = "shape " + std::to_string(shape) +
+                                 (cached ? ", cached" : "");
+        if (cached) {
+          EXPECT_LE(gate->calls(), g.node_count()) << what;
+        } else {
+          EXPECT_EQ(gate->calls(), g.node_count()) << what;
+        }
+        const local::RunResult& gated_run = shape == 0 ? runs[1] : runs[0];
+        for (std::size_t v = 0; v < n; ++v) {
+          const bool gate_yes = gate_truth[v] == Verdict::yes;
+          // Each gated algorithm of the panel runs the shared tail once.
+          const int tails_per_node = shape == 2 ? 2 : 1;
+          ASSERT_EQ(tail_calls[v].load(), gate_yes ? tails_per_node : 0)
+              << what << ", node " << v;
+          const Verdict want =
+              gate_yes && ids.of(static_cast<graph::NodeId>(v)) % 2 == 0
+                  ? Verdict::yes
+                  : Verdict::no;
+          ASSERT_EQ(gated_run.outputs[v], want) << what << ", node " << v;
+        }
+      }
+    }
   }
 }
 

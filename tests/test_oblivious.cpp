@@ -104,7 +104,8 @@ TEST(Simulation, BreaksSection2DeciderUnderB) {
   // The genuine decider accepts under bounded ids...
   Rng rng(3);
   const auto ids = local::make_random_bounded(yes.node_count(), p.f, rng);
-  EXPECT_TRUE(local::accepts(*trees::make_P_decider(p), yes, ids));
+  EXPECT_TRUE(
+      local::run_local_algorithm(*trees::make_P_decider(p), yes, ids).accepted);
   // ...but its Id-oblivious simulation rejects the same yes-instance: some
   // explored assignment exceeds R(r).
   EXPECT_FALSE(local::run_oblivious(*sim, yes).accepted);

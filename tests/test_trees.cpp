@@ -3,8 +3,11 @@
 // the id-based P decider, the coverage audit, and the promise problem.
 #include <gtest/gtest.h>
 
+#include "exec/thread_pool.h"
+#include "exec/verdict_cache.h"
 #include "graph/generators.h"
 #include "graph/graph.h"
+#include "local/ball.h"
 #include "local/indistinguishability.h"
 #include "local/property.h"
 #include "local/simulator.h"
@@ -306,7 +309,44 @@ TEST(Decider, RejectsGarbage) {
   }
   Rng rng(8);
   const IdAssignment ids = local::make_random_bounded(5, p.f, rng);
-  EXPECT_FALSE(local::accepts(*decider, garbage, ids));
+  EXPECT_FALSE(local::run_local_algorithm(*decider, garbage, ids).accepted);
+}
+
+// The P decider is gated on the P' verifier. Its evaluate() (gate, then
+// tail) and the panel (gate through the cache, tail on top) agree node for
+// node with the ungated formula it replaced — reject ids >= R(r), otherwise
+// run the verifier — because the two "no if" rules commute.
+TEST(Decider, GatedEvaluateAgreesWithThePanel) {
+  const TreeParams p = params(2);
+  const auto decider = make_P_decider(p);
+  const auto verifier = make_P_prime_verifier(p);
+  const auto R = static_cast<local::Id>(p.capital_R());
+  std::vector<LabeledGraph> instances;
+  instances.push_back(build_patch_instance(p, subtree_patch(p, 0, 0)));
+  instances.push_back(build_patch_instance(p, subtree_patch(p, 3, 3)));
+  instances.push_back(build_T(p));
+  exec::ThreadPool pool(4);
+  exec::VerdictCache cache;
+  Rng rng(12);
+  local::BallScratch scratch;
+  for (const LabeledGraph& g : instances) {
+    for (int trial = 0; trial < 3; ++trial) {
+      // Bounded ids stay below R(r) on patches; on T_r most reach it.
+      const IdAssignment ids =
+          local::make_random_bounded(g.node_count(), p.f, rng);
+      const local::RunResult panel =
+          local::run_local_algorithm(*decider, g, ids, {{&pool, &cache}});
+      for (graph::NodeId v = 0; v < g.node_count(); ++v) {
+        const local::BallView ball = scratch.extract(g, &ids, v, 1);
+        const Verdict ungated = ball.center_id() >= R
+                                    ? Verdict::no
+                                    : verifier->evaluate(ball.without_ids());
+        ASSERT_EQ(decider->evaluate(ball), ungated) << "node " << v;
+        ASSERT_EQ(panel.outputs[static_cast<std::size_t>(v)], ungated)
+            << "node " << v;
+      }
+    }
+  }
 }
 
 TEST(Decider, IsGenuinelyIdDependent) {
@@ -339,8 +379,9 @@ TEST(Audit, FullPatchCoverageAtR3) {
 }
 
 TEST(Audit, LargeSampleStaysFullyCovered) {
-  // The exhaustive audit of all of T_3 (4.2M nodes) lives in the Figure-1
-  // bench; here a large sample must stay fully covered.
+  // Nothing audits all 4.2M nodes of T_3 exhaustively: fig1-layered-trees
+  // samples 100,000 of them at r = 3, and here a smaller sample must stay
+  // fully covered.
   TreeParams p = params(3);
   Rng rng(11);
   const auto result = audit_tree_coverage(p, 30'000, 0, rng);
