@@ -2,12 +2,12 @@
 
 #include <algorithm>
 #include <atomic>
-#include <memory>
 #include <queue>
 #include <tuple>
 
-#include "graph/graph.h"
+#include "graph/csr.h"
 #include "obs/metrics.h"
+#include "obs/trace.h"
 #include "support/check.h"
 
 namespace locald::local {
@@ -83,10 +83,10 @@ std::uint64_t fragment_index(int round, std::int64_t attempt, std::int64_t i) {
 }
 
 // One fragment's arrival or (frag_total == 0) a definitive-loss
-// notification for one inbox slot. A fragment is a contiguous slice of an
-// immutable message, so it carries only its timing: every fragment of every
-// arc shares the sender's one payload, and the slot resolves on its
-// frag_total-th arrival.
+// notification for one inbox slot. Events carry timing only: under the
+// alpha-synchronizer a round-r message is the sender's round-r state
+// whenever it travels, so what it says is the gather pass's business. A
+// slot resolves on its frag_total-th arrival.
 struct Event {
   std::uint64_t time = 0;
   std::uint64_t seq = 0;  // push order; breaks time ties deterministically
@@ -94,7 +94,6 @@ struct Event {
   int port = 0;
   int round = 0;
   int frag_total = 0;
-  std::shared_ptr<const std::string> payload;
 };
 
 struct LaterFirst {
@@ -103,48 +102,55 @@ struct LaterFirst {
   }
 };
 
-// One inbox slot: (node, round, port). Resolves exactly once — with the
-// delivered payload, or null on loss.
+// One inbox slot: (round, node, port). Resolves exactly once, delivered
+// (its bit in the delivery mask) or lost.
 struct Slot {
   bool resolved = false;
   int arrivals = 0;
-  std::shared_ptr<const std::string> payload;
 };
 
+struct Schedule {
+  EventStats stats;
+  std::vector<bool> delivered;  // gather_knowledge's (round, arc) mask
+};
+
+// The schedule pass: simulates when every (round, arc) message resolves,
+// and whether it arrives, without knowing what any message says.
 class Engine {
  public:
-  Engine(const FullInfoGather& gather, const LabeledGraph& g,
-         const IdAssignment& ids, const FaultKnobs& knobs, std::uint64_t seed)
-      : gather_(gather), g_(g), ids_(ids), knobs_(knobs), seed_(seed) {}
+  Engine(const graph::CsrGraph& g, int rounds, const FaultKnobs& knobs,
+         std::uint64_t seed)
+      : g_(g.span()), rounds_(rounds), knobs_(knobs), seed_(seed) {}
 
-  // Floods to completion; afterwards state(v) is v's gathered knowledge.
-  EventStats run();
-  const std::string& state(graph::NodeId v) const {
-    return *state_[static_cast<std::size_t>(v)];
-  }
+  Schedule run();
 
  private:
-  const graph::CsrGraph& graph() const { return g_.graph(); }
+  // Slot (round, v, port) sits at v's CSR arc offset within its round: the
+  // delivery-mask layout gather_knowledge reads.
+  std::size_t slot_index(graph::NodeId v, int round, int port) const {
+    return static_cast<std::size_t>(round) * g_.offsets[g_.n] +
+           g_.offsets[v] + static_cast<std::size_t>(port);
+  }
 
-  Slot& slot(graph::NodeId v, int round, int port) {
-    const std::size_t deg = graph().neighbors(v).size();
-    return slots_[static_cast<std::size_t>(v)]
-                 [static_cast<std::size_t>(round) * deg +
-                  static_cast<std::size_t>(port)];
+  std::uint64_t& round_time(graph::NodeId v, int round) {
+    return round_time_[static_cast<std::size_t>(round) * round_of_.size() +
+                       static_cast<std::size_t>(v)];
   }
 
   // Port of node `u` in `v`'s inbox: the rank of `u` in v's (ascending)
   // neighbour list.
   int port_of(graph::NodeId v, graph::NodeId u) const {
-    const auto nbrs = graph().neighbors(v);
+    const auto nbrs = g_.neighbors(v);
     const auto it = std::lower_bound(nbrs.begin(), nbrs.end(), u);
-    LOCALD_ASSERT(it != nbrs.end() && *it == u, "arc endpoints must be adjacent");
+    LOCALD_ASSERT(it != nbrs.end() && *it == u,
+                  "arc endpoints must be adjacent");
     return static_cast<int>(it - nbrs.begin());
   }
 
-  void push(Event e) {
-    e.seq = next_seq_++;
-    queue_.push(std::move(e));
+  // Queues one fragment arrival, or (frag_total == 0) a loss notification.
+  void push(std::uint64_t time, graph::NodeId dst, int port, int round,
+            int frag_total) {
+    queue_.push({time, next_seq_++, dst, port, round, frag_total});
     stats_.max_queue_depth =
         std::max(stats_.max_queue_depth,
                  static_cast<std::uint64_t>(queue_.size()));
@@ -153,31 +159,27 @@ class Engine {
   void send_round(graph::NodeId v, int round, std::uint64_t now);
   void advance(graph::NodeId v, std::uint64_t now);
 
-  const FullInfoGather& gather_;
-  const LabeledGraph& g_;
-  const IdAssignment& ids_;
+  graph::CsrSpan g_;
+  int rounds_;
   FaultKnobs knobs_;
   std::uint64_t seed_;
 
-  // Each node's knowledge, immutable once computed: a round's sends share
-  // it rather than copy it.
-  std::vector<std::shared_ptr<const std::string>> state_;
   std::vector<int> round_of_;
-  std::vector<std::vector<Slot>> slots_;
-  // Max resolution time seen per (node, round): a node that buffered
+  // Both indexed by slot_index.
+  std::vector<Slot> slots_;
+  std::vector<bool> delivered_;
+  // Max resolution time seen per (round, node): a node that buffered
   // early-arriving future-round messages must not advance its clock into
   // the past when it finally reaches that round.
-  std::vector<std::vector<std::uint64_t>> round_time_;
+  std::vector<std::uint64_t> round_time_;
   std::priority_queue<Event, std::vector<Event>, LaterFirst> queue_;
   std::uint64_t next_seq_ = 0;
   EventStats stats_;
 };
 
 void Engine::send_round(graph::NodeId v, int round, std::uint64_t now) {
-  const std::shared_ptr<const std::string>& msg =
-      state_[static_cast<std::size_t>(v)];
-  const std::uint64_t n = static_cast<std::uint64_t>(g_.node_count());
-  for (graph::NodeId w : graph().neighbors(v)) {
+  const std::uint64_t n = static_cast<std::uint64_t>(g_.n);
+  for (graph::NodeId w : g_.neighbors(v)) {
     const std::uint64_t arc = static_cast<std::uint64_t>(v) * n +
                               static_cast<std::uint64_t>(w);
     const int port = port_of(w, v);
@@ -205,13 +207,8 @@ void Engine::send_round(graph::NodeId v, int round, std::uint64_t now) {
       // The engine is omniscient: it knows after the last attempt's slot
       // that nothing will arrive, and resolves the slot as lost then.
       ++stats_.messages_dropped;
-      Event e;
-      e.time = now + static_cast<std::uint64_t>(knobs_.attempts);
-      e.dst = w;
-      e.port = port;
-      e.round = round;
-      e.frag_total = 0;  // loss notification
-      push(std::move(e));
+      const auto attempts = static_cast<std::uint64_t>(knobs_.attempts);
+      push(now + attempts, w, port, round, /*frag_total=*/0);
       continue;
     }
 
@@ -236,15 +233,8 @@ void Engine::send_round(graph::NodeId v, int round, std::uint64_t now) {
                             fragment_index(round, attempt, i))
                     .below(static_cast<std::uint64_t>(knobs_.delay_max) + 1)
               : 0;
-      Event e;
-      e.time = base + jitter;
-      e.dst = w;
-      e.port = port;
-      e.round = round;
-      e.frag_total = frags;
-      e.payload = msg;
-      completion = std::max(completion, e.time);
-      push(std::move(e));
+      completion = std::max(completion, base + jitter);
+      push(base + jitter, w, port, round, frags);
     }
     if (frags > 1) {
       stats_.fragments_sent += static_cast<std::uint64_t>(frags);
@@ -258,57 +248,34 @@ void Engine::send_round(graph::NodeId v, int round, std::uint64_t now) {
 
 void Engine::advance(graph::NodeId v, std::uint64_t now) {
   const std::size_t vi = static_cast<std::size_t>(v);
-  const std::size_t deg = graph().neighbors(v).size();
+  const std::size_t deg = g_.neighbors(v).size();
   std::uint64_t t = now;
-  while (round_of_[vi] < gather_.rounds()) {
+  while (round_of_[vi] < rounds_) {
     const int round = round_of_[vi];
-    bool complete = true;
-    for (std::size_t p = 0; p < deg && complete; ++p) {
-      complete = slot(v, round, static_cast<int>(p)).resolved;
+    const std::size_t first = slot_index(v, round, 0);
+    for (std::size_t i = first; i < first + deg; ++i) {
+      if (!slots_[i].resolved) {
+        return;
+      }
     }
-    if (!complete) {
-      return;
-    }
-    t = std::max(t, round_time_[vi][static_cast<std::size_t>(round)]);
-    // A finished round's slots are never read again: release the payloads.
-    std::vector<std::string> inbox;
-    inbox.reserve(deg);
-    for (std::size_t p = 0; p < deg; ++p) {
-      std::shared_ptr<const std::string> payload =
-          std::move(slot(v, round, static_cast<int>(p)).payload);
-      inbox.push_back(payload ? *payload : std::string());
-    }
-    state_[vi] = std::make_shared<const std::string>(
-        gather_.update(*state_[vi], inbox));
+    t = std::max(t, round_time(v, round));
     ++round_of_[vi];
-    if (round_of_[vi] < gather_.rounds()) {
+    if (round_of_[vi] < rounds_) {
       send_round(v, round_of_[vi], t);
     }
   }
 }
 
-EventStats Engine::run() {
-  LOCALD_CHECK(ids_.node_count() == g_.node_count(),
-               "identifier assignment size mismatch");
-  const graph::NodeId n = g_.node_count();
-  const int rounds = gather_.rounds();
-  state_.resize(static_cast<std::size_t>(n));
+Schedule Engine::run() {
+  const graph::NodeId n = g_.n;
   round_of_.assign(static_cast<std::size_t>(n), 0);
-  slots_.resize(static_cast<std::size_t>(n));
-  round_time_.resize(static_cast<std::size_t>(n));
-  for (graph::NodeId v = 0; v < n; ++v) {
-    state_[static_cast<std::size_t>(v)] = std::make_shared<const std::string>(
-        gather_.init(ids_.of(v), g_.label(v)));
-    const std::size_t deg = graph().neighbors(v).size();
-    slots_[static_cast<std::size_t>(v)].resize(
-        static_cast<std::size_t>(rounds) * deg);
-    round_time_[static_cast<std::size_t>(v)].assign(
-        static_cast<std::size_t>(rounds), 0);
-  }
+  slots_.assign(slot_index(0, rounds_, 0), Slot{});
+  delivered_.assign(slots_.size(), false);
+  round_time_.assign(static_cast<std::size_t>(rounds_) * round_of_.size(), 0);
 
   // Round-0 sends happen at virtual time 0 in node-index order (the
   // deterministic analogue of "everyone starts at once").
-  for (graph::NodeId v = 0; v < n && rounds > 0; ++v) {
+  for (graph::NodeId v = 0; v < n && rounds_ > 0; ++v) {
     send_round(v, 0, 0);
   }
   // Isolated nodes have no inbox slots to wait for and run to completion.
@@ -317,30 +284,28 @@ EventStats Engine::run() {
   }
 
   while (!queue_.empty()) {
-    // The queue's top is const; moving the payload out requires the pop
-    // dance. const_cast is safe: the element is removed immediately after.
-    Event e = std::move(const_cast<Event&>(queue_.top()));
+    const Event e = queue_.top();
     queue_.pop();
     ++stats_.events_dispatched;
-    Slot& s = slot(e.dst, e.round, e.port);
+    const std::size_t slot = slot_index(e.dst, e.round, e.port);
+    Slot& s = slots_[slot];
     LOCALD_ASSERT(!s.resolved, "inbox slot resolved twice");
     // A slot resolves on its last fragment, or on a loss notification
-    // (frag_total == 0), which carries no payload.
+    // (frag_total == 0).
     if (e.frag_total != 0 && ++s.arrivals < e.frag_total) {
       continue;
     }
-    s.payload = std::move(e.payload);
     s.resolved = true;
-    auto& rt = round_time_[static_cast<std::size_t>(e.dst)];
-    rt[static_cast<std::size_t>(e.round)] =
-        std::max(rt[static_cast<std::size_t>(e.round)], e.time);
+    delivered_[slot] = e.frag_total != 0;
+    std::uint64_t& rt = round_time(e.dst, e.round);
+    rt = std::max(rt, e.time);
     if (e.round == round_of_[static_cast<std::size_t>(e.dst)]) {
       advance(e.dst, e.time);
     }
   }
 
   for (graph::NodeId v = 0; v < n; ++v) {
-    LOCALD_ASSERT(round_of_[static_cast<std::size_t>(v)] == rounds,
+    LOCALD_ASSERT(round_of_[static_cast<std::size_t>(v)] == rounds_,
                   "event queue drained before every node finished");
   }
 
@@ -355,7 +320,7 @@ EventStats Engine::run() {
   g_messages_delayed.fetch_add(stats_.messages_delayed,
                                std::memory_order_relaxed);
   raise_max(g_max_queue_depth, stats_.max_queue_depth);
-  return stats_;
+  return {stats_, std::move(delivered_)};
 }
 
 }  // namespace
@@ -364,21 +329,29 @@ FloodResult run_flood(const std::vector<const LocalAlgorithm*>& algs,
                       const LabeledGraph& g, const IdAssignment& ids,
                       const FaultProfileInstance& profile, std::uint64_t seed) {
   LOCALD_CHECK(!algs.empty(), "a flood needs at least one algorithm");
-  const FullInfoGather gather(algs.front()->horizon());
+  const int horizon = algs.front()->horizon();
   for (const LocalAlgorithm* alg : algs) {
-    LOCALD_CHECK(alg->horizon() == gather.horizon(),
+    LOCALD_CHECK(alg->horizon() == horizon,
                  "one flood serves algorithms of one horizon");
   }
-  Engine engine(gather, g, ids, profile.knobs(), seed);
-  FloodResult result;
-  result.stats = engine.run();
-  const std::size_t n = static_cast<std::size_t>(g.node_count());
-  result.verdicts.assign(algs.size(), std::vector<Verdict>(n));
-  for (graph::NodeId v = 0; v < g.node_count(); ++v) {
-    const Ball ball = gather.ball(engine.state(v));
+  const Schedule schedule = [&] {
+    obs::Span span("flood-schedule");
+    Engine engine(g.graph(), gather_rounds(horizon), profile.knobs(), seed);
+    return engine.run();
+  }();
+  const std::vector<std::string> knowledge = [&] {
+    obs::Span span("flood-gather");
+    return gather_knowledge(g, ids, horizon, schedule.delivered);
+  }();
+  obs::Span span("flood-decide");
+  FloodResult result{{}, schedule.stats};
+  result.verdicts.assign(algs.size(), std::vector<Verdict>(knowledge.size()));
+  for (std::size_t v = 0; v < knowledge.size(); ++v) {
+    const auto [self, known] = decode_knowledge(knowledge[v]);
+    const Ball ball = ball_from_knowledge(self, known, horizon);
     const BallView view = ball.view();
     for (std::size_t a = 0; a < algs.size(); ++a) {
-      result.verdicts[a][static_cast<std::size_t>(v)] = algs[a]->evaluate(
+      result.verdicts[a][v] = algs[a]->evaluate(
           algs[a]->id_oblivious() ? view.without_ids() : view);
     }
   }

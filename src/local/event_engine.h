@@ -1,21 +1,23 @@
 // Event-driven message-passing runtime with seeded fault injection.
 //
 // The one runtime that drives the full-information gather protocol
-// (local/sync_engine.h). Messages become events on a priority queue ordered
-// by (virtual time, sequence number), and a fault profile
-// (local/fault_profile.h) may delay, drop, retransmit, or fragment them in
-// flight. Nodes progress in alpha-synchronizer style — a node applies its
-// round-r update the moment every round-r inbox slot has resolved (payload
-// delivered or definitively lost), buffering messages that arrive for
-// future rounds — so the execution is asynchronous even though the protocol
-// is written in rounds.
-//
-// One flood serves every algorithm of one horizon: the gathered knowledge
-// does not depend on the algorithm, so at output each node rebuilds its
-// ball once and every algorithm decides on it.
+// (local/sync_engine.h). A flood runs in three passes:
+//  1. Schedule: messages become payload-free events on a priority queue
+//     ordered by (virtual time, sequence number), and a fault profile
+//     (local/fault_profile.h) may delay, drop, retransmit, or fragment them.
+//     Nodes progress in alpha-synchronizer style — a node enters round r + 1
+//     once every round-r inbox slot has resolved (delivered or definitively
+//     lost) — so the execution is asynchronous though the protocol is
+//     written in rounds. The pass yields EventStats and which (round, arc)
+//     messages arrived.
+//  2. Gather: a round-r message is the sender's round-r state whenever it
+//     is sent, so gather_knowledge runs the rounds over that delivery mask
+//     alone. Timing changes EventStats and nothing else.
+//  3. Decide: each node rebuilds its ball once and every algorithm of the
+//     flood's one horizon decides on it.
 //
 // Determinism contract: the schedule is a pure function of
-// (graph, rounds, profile, seed) — never of payloads.
+// (graph, rounds, profile, seed) — the schedule pass never sees a payload.
 //  - Every fault decision (drop per attempt, delay per message, jitter per
 //    fragment) is drawn from a counter-based stream
 //    `Rng::stream(seed ^ plane, arc, index(round, attempt))`, keyed by the
@@ -23,9 +25,6 @@
 //    so decisions are call-order-independent.
 //  - The queue orders ties by a sequence number assigned at push time, and
 //    one run is a single-threaded simulation, so pops are totally ordered.
-//  - A lost message resolves its inbox slot to the empty string: the
-//    protocol sees a fixed-arity inbox (one slot per port, in port order)
-//    with gaps.
 // Under the `none` profile every message arrives at its synchronous slot:
 // the run is the paper's lockstep rounds, and its verdicts equal direct
 // ball evaluation (tested).
@@ -49,10 +48,10 @@ namespace locald::local {
 struct EventStats {
   std::uint64_t events_dispatched = 0;   // queue pops
   std::uint64_t messages_sent = 0;       // one per (directed arc, round)
-  std::uint64_t messages_delivered = 0;  // resolved with a payload
+  std::uint64_t messages_delivered = 0;  // resolved as arrived
   std::uint64_t messages_dropped = 0;    // every attempt lost
   std::uint64_t messages_delayed = 0;    // delivered after the sync slot
-  std::uint64_t fragments_sent = 0;      // pieces of split payloads
+  std::uint64_t fragments_sent = 0;      // pieces of split messages
   std::uint64_t retransmissions = 0;     // attempts after the first
   std::uint64_t max_queue_depth = 0;     // high-water mark of pending events
 

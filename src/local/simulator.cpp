@@ -95,7 +95,8 @@ std::vector<RunResult> run_panel(const std::vector<const LocalAlgorithm*>& algs,
   std::string names;
   for (std::size_t a = 0; a < algs.size(); ++a) {
     const LocalAlgorithm* alg = algs[a];
-    names += (a == 0 ? "" : ",") + alg->name();
+    if (a > 0) names += ',';
+    names += alg->name();
     if (const auto* gated = dynamic_cast<const GatedAlgorithm*>(alg)) {
       const std::size_t gate = oblivious_step(&gated->gate());
       steps.push_back({alg, gated, gate, ""});

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <sstream>
 
+#include "graph/csr.h"
 #include "graph/graph.h"
 #include "local/event_engine.h"
 #include "support/check.h"
@@ -165,24 +166,21 @@ Ball ball_from_knowledge(Id self, const Knowledge& k, int radius) {
   return ball;
 }
 
-std::string FullInfoGather::init(Id self, const Label& label) const {
+namespace {
+
+std::string init(Id self, const Label& label) {
   Knowledge k;
   k.emplace(self, KnownNode{self, label, {}});
   return encode_knowledge(self, k);
 }
 
-std::string FullInfoGather::update(
-    const std::string& state, const std::vector<std::string>& inbox) const {
+// Merges one round's delivered messages, in port order.
+std::string update(const std::string& state,
+                   const std::vector<const std::string*>& inbox) {
   auto [self, knowledge] = decode_knowledge(state);
   std::vector<Id> neighbor_ids;
-  for (const std::string& msg : inbox) {
-    if (msg.empty()) {
-      // A lost message (faulty profiles): this round taught us nothing
-      // about that port. Knowledge merging is a union, so a neighbour heard
-      // in any other round still lands in the adjacency.
-      continue;
-    }
-    auto [sender, their] = decode_knowledge(msg);
+  for (const std::string* msg : inbox) {
+    auto [sender, their] = decode_knowledge(*msg);
     neighbor_ids.push_back(sender);
     merge_into(knowledge, their);
   }
@@ -194,9 +192,40 @@ std::string FullInfoGather::update(
   return encode_knowledge(self, knowledge);
 }
 
-Ball FullInfoGather::ball(const std::string& state) const {
-  const auto [self, knowledge] = decode_knowledge(state);
-  return ball_from_knowledge(self, knowledge, horizon_);
+}  // namespace
+
+std::vector<std::string> gather_knowledge(const LabeledGraph& g,
+                                          const IdAssignment& ids,
+                                          int horizon,
+                                          const std::vector<bool>& delivered) {
+  LOCALD_CHECK(ids.node_count() == g.node_count(),
+               "identifier assignment size mismatch");
+  const graph::CsrSpan csr = g.graph().span();
+  const std::size_t arcs = csr.offsets[csr.n];
+  const int rounds = gather_rounds(horizon);
+  LOCALD_CHECK(delivered.size() == static_cast<std::size_t>(rounds) * arcs,
+               "delivery mask must hold one bit per (round, arc)");
+  // Round r + 1 reads the neighbours' round-r states, so two buffers.
+  std::vector<std::string> state;
+  std::vector<std::string> next(static_cast<std::size_t>(csr.n));
+  for (graph::NodeId v = 0; v < csr.n; ++v) {
+    state.push_back(init(ids.of(v), g.label(v)));
+  }
+  std::vector<const std::string*> inbox;
+  for (int r = 0; r < rounds; ++r) {
+    const std::size_t base = static_cast<std::size_t>(r) * arcs;
+    for (std::size_t v = 0; v < state.size(); ++v) {
+      inbox.clear();
+      for (std::size_t a = csr.offsets[v]; a < csr.offsets[v + 1]; ++a) {
+        if (delivered[base + a]) {
+          inbox.push_back(&state[static_cast<std::size_t>(csr.adj[a])]);
+        }
+      }
+      next[v] = update(state[v], inbox);
+    }
+    state.swap(next);
+  }
+  return state;
 }
 
 std::vector<Verdict> run_via_message_passing(const LocalAlgorithm& alg,

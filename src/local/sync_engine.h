@@ -5,16 +5,18 @@
 // unbounded messages with neighbours, then output. This module provides the
 // protocol behind that equivalence:
 //
-//  - `FullInfoGather`: the canonical flooding protocol. Each node floods
+//  - `gather_knowledge`: the canonical flooding protocol. Each node floods
 //    (id, label, adjacency) knowledge for horizon + 1 rounds, then
 //    reconstructs (G, x, Id) |` B(v, t) exactly from what it heard.
 //  - The knowledge codec and `ball_from_knowledge`, the protocol's payload
 //    and its output step.
 //
-// One runtime drives the protocol: the event engine (local/event_engine.h).
-// Under its `none` profile every message arrives in its synchronous slot, so
-// the run IS the paper's lockstep rounds; `run_via_message_passing` names
-// that case. Tests assert it reproduces direct ball evaluation verbatim —
+// One runtime drives the protocol: the event engine (local/event_engine.h)
+// simulates which (round, arc) messages arrive, and the gather pass runs the
+// rounds over that delivery mask. Under the `none` profile every message
+// arrives in its synchronous slot, so the run IS the paper's lockstep
+// rounds; `run_via_message_passing` names that case. Tests assert it
+// reproduces direct ball evaluation verbatim —
 // the equivalence the paper appeals to.
 //
 // The protocol uses identifiers as transport addresses during flooding. For
@@ -50,31 +52,22 @@ std::pair<Id, Knowledge> decode_knowledge(const std::string& payload);
 // Only information actually contained in the knowledge map is used.
 Ball ball_from_knowledge(Id self, const Knowledge& k, int radius);
 
-// The flooding protocol for one horizon. A node's state is its knowledge
-// in wire form, `encode_knowledge(self, k)`, which is also the message it
-// broadcasts each round; the compact form keeps a large flood's memory
-// down. The result depends on the horizon only, never on which algorithm
-// later decides on the gathered ball.
-class FullInfoGather {
- public:
-  explicit FullInfoGather(int horizon) : horizon_(horizon) {}
+// t + 1 rounds assemble the exact induced radius-t ball (the paper's
+// "t +- 1 rounds" equivalence): edges between two distance-t nodes are only
+// reported after those nodes learned their own adjacency in round 1.
+inline int gather_rounds(int horizon) { return horizon + 1; }
 
-  int horizon() const { return horizon_; }
-  // t + 1 rounds assemble the exact induced radius-t ball (the paper's
-  // "t ± 1 rounds" equivalence): edges between two distance-t nodes are
-  // only reported after those nodes learned their own adjacency in round 1.
-  int rounds() const { return horizon_ + 1; }
-
-  std::string init(Id self, const Label& label) const;
-  // Merges one round's inbox, one payload per port in port order. An empty
-  // payload is a lost message: that port taught nothing this round.
-  std::string update(const std::string& state,
-                     const std::vector<std::string>& inbox) const;
-  Ball ball(const std::string& state) const;
-
- private:
-  int horizon_;
-};
+// The gather pass: runs gather_rounds(horizon) rounds of flooding over `g`
+// and returns each node's final knowledge in wire form,
+// `encode_knowledge(self, k)`, which is also the message a node broadcasts
+// each round. delivered[r * arcs + offsets[v] + p] (CSR arc offsets of `g`)
+// says whether v heard its port-p neighbour in round r. A lost message
+// teaches nothing that round; knowledge merges by union, so a neighbour
+// heard in another round still lands in the adjacency.
+std::vector<std::string> gather_knowledge(const LabeledGraph& g,
+                                          const IdAssignment& ids,
+                                          int horizon,
+                                          const std::vector<bool>& delivered);
 
 // `alg` through clean lockstep flooding: the event engine under the `none`
 // profile. Produces the same outputs as run_local_algorithm (tested

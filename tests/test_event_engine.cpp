@@ -8,11 +8,15 @@
 //     several algorithms gives each exactly its single-algorithm run.
 //  2. Determinism: verdicts AND schedule statistics are pure functions of
 //     (graph, algorithm, profile, seed); repeat runs agree field for field,
-//     and different seeds reshuffle faulty schedules without touching the
-//     clean ones.
+//     different seeds reshuffle faulty schedules without touching the
+//     clean ones, and recorded floods pin both across versions.
+//  3. Timing never changes knowledge: profiles that lose the same messages
+//     give the same verdicts however they delay or fragment them.
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <sstream>
+#include <string>
 #include <vector>
 
 #include "graph/generators.h"
@@ -207,6 +211,265 @@ TEST(EventEngine, FragmentationAccountsEveryPiece) {
   EXPECT_EQ(r.stats.messages_delivered, 24u);
   EXPECT_EQ(r.stats.fragments_sent, 96u);   // 4 pieces per delivery
   EXPECT_EQ(r.stats.events_dispatched, 96u);
+}
+
+// A panel of horizon-2 algorithms whose verdicts move with the exact
+// gathered ball: its size, edges, labels and identifiers.
+std::vector<std::unique_ptr<LocalAlgorithm>> golden_panel() {
+  std::vector<std::unique_ptr<LocalAlgorithm>> panel;
+  panel.push_back(make_oblivious("even-degree", 2, [](const BallView& b) {
+    return b.g.degree(b.center) % 2 == 0 ? Verdict::yes : Verdict::no;
+  }));
+  panel.push_back(make_oblivious("odd-ball", 2, [](const BallView& b) {
+    return b.node_count() % 2 == 1 ? Verdict::yes : Verdict::no;
+  }));
+  panel.push_back(make_oblivious("even-edges", 2, [](const BallView& b) {
+    return b.g.edge_count() % 2 == 0 ? Verdict::yes : Verdict::no;
+  }));
+  panel.push_back(make_oblivious("sees-label-2", 2, [](const BallView& b) {
+    for (graph::NodeId v = 0; v < b.node_count(); ++v) {
+      if (b.label(v) == Label{2}) return Verdict::yes;
+    }
+    return Verdict::no;
+  }));
+  panel.push_back(make_id_aware("even-id-sum", 2, [](const BallView& b) {
+    Id sum = 0;
+    for (graph::NodeId v = 0; v < b.node_count(); ++v) sum += b.id_of(v);
+    return sum % 2 == 0 ? Verdict::yes : Verdict::no;
+  }));
+  return panel;
+}
+
+std::string verdict_string(const std::vector<Verdict>& verdicts) {
+  std::string out;
+  for (Verdict v : verdicts) out += v == Verdict::yes ? 'y' : 'n';
+  return out;
+}
+
+// Recorded from the engine that carried payloads on its events, before the
+// schedule and gather passes were split: any change to the schedule (event
+// order, fault draws, stats) or to what a node gathers shows up here. Per
+// flood: graph, fault profile and seed; the EventStats fields in declaration
+// order; then one verdict string per golden_panel() algorithm.
+constexpr const char* kGoldenFloods = R"(
+torus-8x8 none 1
+768 768 768 0 0 0 0 256
+yyyyyyyyyyyyyyyyyyyyyyyyyyyyyyyyyyyyyyyyyyyyyyyyyyyyyyyyyyyyyyyy
+yyyyyyyyyyyyyyyyyyyyyyyyyyyyyyyyyyyyyyyyyyyyyyyyyyyyyyyyyyyyyyyy
+yyyyyyyyyyyyyyyyyyyyyyyyyyyyyyyyyyyyyyyyyyyyyyyyyyyyyyyyyyyyyyyy
+nnnnnnnnnnnnnnnnnnnnnnnnnnnnnnnnnnnnnnnnnnnnnnnnnnnnnnnnnnnnnnnn
+ynynynynynynynynynynynynynynynynynynynynynynynynynynynynynynynyn
+torus-8x8 none 7
+768 768 768 0 0 0 0 256
+yyyyyyyyyyyyyyyyyyyyyyyyyyyyyyyyyyyyyyyyyyyyyyyyyyyyyyyyyyyyyyyy
+yyyyyyyyyyyyyyyyyyyyyyyyyyyyyyyyyyyyyyyyyyyyyyyyyyyyyyyyyyyyyyyy
+yyyyyyyyyyyyyyyyyyyyyyyyyyyyyyyyyyyyyyyyyyyyyyyyyyyyyyyyyyyyyyyy
+nnnnnnnnnnnnnnnnnnnnnnnnnnnnnnnnnnnnnnnnnnnnnnnnnnnnnnnnnnnnnnnn
+ynynynynynynynynynynynynynynynynynynynynynynynynynynynynynynynyn
+torus-8x8 chaos 1
+1536 768 768 0 689 1536 127 512
+yyyyyyyyyyyyyyyyyyyyyyyyyyyyyyyyyyyyyyyyyyyyyyyyyyyyyyyyyyyyyyyy
+yyyyyyyyyyyyyyyyyyyyyyyyyyyyyyyyyyyyyyyyyyyyyyyyyyyyyyyyyyyyyyyy
+yyyyyyyyyyyyyyyyyyyyyyyyyyyyyyyyyyyyyyyyyyyyyyyyyyyyyyyyyyyyyyyy
+nnnnnnnnnnnnnnnnnnnnnnnnnnnnnnnnnnnnnnnnnnnnnnnnnnnnnnnnnnnnnnnn
+ynynynynynynynynynynynynynynynynynynynynynynynynynynynynynynynyn
+torus-8x8 chaos 7
+1535 768 767 1 698 1534 115 511
+yyyyyyyyyyyyyyyyyyyyyyyyyyyyyyyyyyyyyyyyyyyyyyyyyyyyyyyyyyyyyyyy
+yyyyyyyyyyyyyyyyyyyyyyyyyyyyyyyyyyyyyyyyyyyyyyyyyyyyyyyyyyyyyyyy
+yyyyyyyyyyyyyyyyyyyyyyyyyyyyyyyyyyyyyyyyyyyyyyyyyyyyyyyyyyyyyyyy
+nnnnnnnnnnnnnnnnnnnnnnnnnnnnnnnnnnnnnnnnnnnnnnnnnnnnnnnnnnnnnnnn
+ynynynynynynynynynynynynynynynynynynynynynynynynynynynynynynynyn
+torus-8x8 fragment:pieces=3 1
+2304 768 768 0 0 2304 0 768
+yyyyyyyyyyyyyyyyyyyyyyyyyyyyyyyyyyyyyyyyyyyyyyyyyyyyyyyyyyyyyyyy
+yyyyyyyyyyyyyyyyyyyyyyyyyyyyyyyyyyyyyyyyyyyyyyyyyyyyyyyyyyyyyyyy
+yyyyyyyyyyyyyyyyyyyyyyyyyyyyyyyyyyyyyyyyyyyyyyyyyyyyyyyyyyyyyyyy
+nnnnnnnnnnnnnnnnnnnnnnnnnnnnnnnnnnnnnnnnnnnnnnnnnnnnnnnnnnnnnnnn
+ynynynynynynynynynynynynynynynynynynynynynynynynynynynynynynynyn
+torus-8x8 fragment:pieces=3 7
+2304 768 768 0 0 2304 0 768
+yyyyyyyyyyyyyyyyyyyyyyyyyyyyyyyyyyyyyyyyyyyyyyyyyyyyyyyyyyyyyyyy
+yyyyyyyyyyyyyyyyyyyyyyyyyyyyyyyyyyyyyyyyyyyyyyyyyyyyyyyyyyyyyyyy
+yyyyyyyyyyyyyyyyyyyyyyyyyyyyyyyyyyyyyyyyyyyyyyyyyyyyyyyyyyyyyyyy
+nnnnnnnnnnnnnnnnnnnnnnnnnnnnnnnnnnnnnnnnnnnnnnnnnnnnnnnnnnnnnnnn
+ynynynynynynynynynynynynynynynynynynynynynynynynynynynynynynynyn
+torus-8x8 chaos:pieces=16,delay=5 1
+12288 768 768 0 768 12288 127 4096
+yyyyyyyyyyyyyyyyyyyyyyyyyyyyyyyyyyyyyyyyyyyyyyyyyyyyyyyyyyyyyyyy
+yyyyyyyyyyyyyyyyyyyyyyyyyyyyyyyyyyyyyyyyyyyyyyyyyyyyyyyyyyyyyyyy
+yyyyyyyyyyyyyyyyyyyyyyyyyyyyyyyyyyyyyyyyyyyyyyyyyyyyyyyyyyyyyyyy
+nnnnnnnnnnnnnnnnnnnnnnnnnnnnnnnnnnnnnnnnnnnnnnnnnnnnnnnnnnnnnnnn
+ynynynynynynynynynynynynynynynynynynynynynynynynynynynynynynynyn
+torus-8x8 chaos:pieces=16,delay=5 7
+12273 768 767 1 767 12272 115 4081
+yyyyyyyyyyyyyyyyyyyyyyyyyyyyyyyyyyyyyyyyyyyyyyyyyyyyyyyyyyyyyyyy
+yyyyyyyyyyyyyyyyyyyyyyyyyyyyyyyyyyyyyyyyyyyyyyyyyyyyyyyyyyyyyyyy
+yyyyyyyyyyyyyyyyyyyyyyyyyyyyyyyyyyyyyyyyyyyyyyyyyyyyyyyyyyyyyyyy
+nnnnnnnnnnnnnnnnnnnnnnnnnnnnnnnnnnnnnnnnnnnnnnnnnnnnnnnnnnnnnnnn
+ynynynynynynynynynynynynynynynynynynynynynynynynynynynynynynynyn
+torus-8x8 drop:per-mille=900,attempts=1 1
+768 768 62 706 0 0 0 256
+ynnynynnyynyyynnnyyynyyyyyyynyynnnyynynnynynyyynyynnnyynnnynynnn
+ynnynynnnyyyyynnnyyynyyyyyyynyynnnynnyynynynyyynyynnnyynnnynynny
+ynnynynnnyyyyynnnyyynyyyyyyynyynnnynnyynynynyyynyynnnyynnnynynny
+nnnnnnnnnnnnnnnnnnnnnnnnnnnnnnnnnnnnnnnnnnnnnnnnnnnnnnnnnnnnnnnn
+yyynnnnnnyynynnnynynyyynynynnnyyynnynnnnnyynynynnnynnynynyynyyyy
+torus-8x8 drop:per-mille=900,attempts=1 7
+768 768 76 692 0 0 0 256
+nnynyyynnnnnnnnyyyynyyyynyyyyyynynynnyynyynynnnnnyynnynyynynyyny
+nnynynynnynnnnyyyyynnyyynyyyyyynynyynynnnynynnnynyynnynyynyyyyny
+nnynynynnynnnnyyyyynnyyynyyyyyynynyynynnnynynnnynyynnynyynyyyyny
+nnnnnnnnnnnnnnnnnnnnnnnnnnnnnnnnnnnnnnnnnnnnnnnnnnnnnnnnnnnnnnnn
+nnyyynynnnnnynynynynyyyyynnynnynyynynnnnnnnynnyynnynynynynynynyy
+layered-tree-4 none 1
+336 336 336 0 0 0 0 112
+yyyynnyynnnnnnyynnnnnnnnnnnnnny
+yyynyynnyyyyyynnyyyyyyyyyyyyyyn
+ynnyyyynnyyyynnyynnnnnnnnnnnnyy
+yyyyyyyyyyyyyyyyyyyyyyyyyyyyyyy
+nnnnyyyynnynyyyyyynynnynyynynny
+layered-tree-4 none 7
+336 336 336 0 0 0 0 112
+yyyynnyynnnnnnyynnnnnnnnnnnnnny
+yyynyynnyyyyyynnyyyyyyyyyyyyyyn
+ynnyyyynnyyyynnyynnnnnnnnnnnnyy
+yyyyyyyyyyyyyyyyyyyyyyyyyyyyyyy
+nnnnyyyynnynyyyyyynynnynyynynny
+layered-tree-4 chaos 1
+672 336 336 0 303 672 53 224
+yyyynnyynnnnnnyynnnnnnnnnnnnnny
+yyynyynnyyyyyynnyyyyyyyyyyyyyyn
+ynnyyyynnyyyynnyynnnnnnnnnnnnyy
+yyyyyyyyyyyyyyyyyyyyyyyyyyyyyyy
+nnnnyyyynnynyyyyyynynnynyynynny
+layered-tree-4 chaos 7
+672 336 336 0 301 672 44 224
+yyyynnyynnnnnnyynnnnnnnnnnnnnny
+yyynyynnyyyyyynnyyyyyyyyyyyyyyn
+ynnyyyynnyyyynnyynnnnnnnnnnnnyy
+yyyyyyyyyyyyyyyyyyyyyyyyyyyyyyy
+nnnnyyyynnynyyyyyynynnynyynynny
+layered-tree-4 fragment:pieces=3 1
+1008 336 336 0 0 1008 0 336
+yyyynnyynnnnnnyynnnnnnnnnnnnnny
+yyynyynnyyyyyynnyyyyyyyyyyyyyyn
+ynnyyyynnyyyynnyynnnnnnnnnnnnyy
+yyyyyyyyyyyyyyyyyyyyyyyyyyyyyyy
+nnnnyyyynnynyyyyyynynnynyynynny
+layered-tree-4 fragment:pieces=3 7
+1008 336 336 0 0 1008 0 336
+yyyynnyynnnnnnyynnnnnnnnnnnnnny
+yyynyynnyyyyyynnyyyyyyyyyyyyyyn
+ynnyyyynnyyyynnyynnnnnnnnnnnnyy
+yyyyyyyyyyyyyyyyyyyyyyyyyyyyyyy
+nnnnyyyynnynyyyyyynynnynyynynny
+layered-tree-4 chaos:pieces=16,delay=5 1
+5376 336 336 0 336 5376 53 1792
+yyyynnyynnnnnnyynnnnnnnnnnnnnny
+yyynyynnyyyyyynnyyyyyyyyyyyyyyn
+ynnyyyynnyyyynnyynnnnnnnnnnnnyy
+yyyyyyyyyyyyyyyyyyyyyyyyyyyyyyy
+nnnnyyyynnynyyyyyynynnynyynynny
+layered-tree-4 chaos:pieces=16,delay=5 7
+5376 336 336 0 336 5376 44 1792
+yyyynnyynnnnnnyynnnnnnnnnnnnnny
+yyynyynnyyyyyynnyyyyyyyyyyyyyyn
+ynnyyyynnyyyynnyynnnnnnnnnnnnyy
+yyyyyyyyyyyyyyyyyyyyyyyyyyyyyyy
+nnnnyyyynnynyyyyyynynnynyynynny
+layered-tree-4 drop:per-mille=900,attempts=1 1
+336 336 28 308 0 0 0 112
+nnnnynnyyyyyynnnnyyynynynyynyny
+ynnnyyyyyyyynnnynyyynynynyyyyny
+ynnnyyyyyyyynnnynyyynynynyyyyny
+ynynnyynyynyyyyyyynnynnynnyynyn
+yyyynyynyyyyynyynnynnnnnnnyyyny
+layered-tree-4 drop:per-mille=900,attempts=1 7
+336 336 40 296 0 0 0 112
+ynyyynynnnynnnynnnnyynnynynnyyy
+ynyyynynynyynnynyynyynyynyynyyy
+ynyyynynnnyynnynyynyynyynyynyyy
+nyyynyynynnynnynnynyynnyynynnyy
+ynyyynyyynyynyyyyynnynnnnnnyynn
+)";
+
+struct GoldenFlood {
+  std::string graph;
+  std::string faults;
+  std::uint64_t seed = 0;
+  EventStats stats;
+  std::vector<std::string> verdicts;
+};
+
+std::vector<GoldenFlood> golden_floods(std::size_t algorithms) {
+  std::istringstream in(kGoldenFloods);
+  std::vector<GoldenFlood> out;
+  GoldenFlood f;
+  while (in >> f.graph >> f.faults >> f.seed) {
+    EventStats& s = f.stats;
+    in >> s.events_dispatched >> s.messages_sent >> s.messages_delivered;
+    in >> s.messages_dropped >> s.messages_delayed >> s.fragments_sent;
+    in >> s.retransmissions >> s.max_queue_depth;
+    f.verdicts.assign(algorithms, "");
+    for (std::string& v : f.verdicts) in >> v;
+    out.push_back(f);
+  }
+  return out;
+}
+
+TEST(EventEngine, FloodsMatchTheirRecordedSchedulesAndVerdicts) {
+  const auto panel = golden_panel();
+  std::vector<const LocalAlgorithm*> algs;
+  for (const auto& alg : panel) algs.push_back(alg.get());
+  const graph::CsrGraph tree = graph::make_layered_tree(4);
+  std::vector<Label> labels;
+  for (graph::NodeId v = 0; v < tree.node_count(); ++v) {
+    labels.push_back(Label{v % 3});
+  }
+  const LabeledGraph torus(graph::make_torus(8, 8));
+  const LabeledGraph layered(tree, labels);
+  const std::vector<GoldenFlood> golden = golden_floods(algs.size());
+  ASSERT_EQ(golden.size(), 20u);
+  for (const GoldenFlood& want : golden) {
+    const LabeledGraph& instance = want.graph == "torus-8x8" ? torus : layered;
+    const IdAssignment ids = make_consecutive(instance.node_count());
+    const auto faults = resolve_faults_text(want.faults);
+    const FloodResult flood = run_flood(algs, instance, ids, faults, want.seed);
+    const std::string where = want.graph + " under " + want.faults;
+    EXPECT_TRUE(flood.stats == want.stats) << where << ", seed " << want.seed;
+    for (std::size_t a = 0; a < algs.size(); ++a) {
+      EXPECT_EQ(verdict_string(flood.verdicts[a]), want.verdicts[a])
+          << where << ", seed " << want.seed << ", " << algs[a]->name();
+    }
+  }
+}
+
+// What a node gathers depends only on which messages arrived. `drop` and
+// this `chaos` draw the same loss pattern (same per-mille and attempts, the
+// same drop streams), but chaos also delays and fragments every message:
+// the schedules differ, the verdicts may not.
+TEST(EventEngine, TimingNeverChangesKnowledge) {
+  const auto panel = golden_panel();
+  std::vector<const LocalAlgorithm*> algs;
+  for (const auto& alg : panel) algs.push_back(alg.get());
+  const auto drop = resolve_faults_text("drop:per-mille=200,attempts=3");
+  const auto chaos = resolve_faults_text(
+      "chaos:per-mille=200,attempts=3,delay=5,pieces=4");
+  for (const graph::CsrGraph& g :
+       {graph::make_torus(8, 8), graph::make_layered_tree(4)}) {
+    const LabeledGraph instance(g);
+    const IdAssignment ids = make_consecutive(g.node_count());
+    for (std::uint64_t seed : {1, 7, 13}) {
+      const FloodResult lossy = run_flood(algs, instance, ids, drop, seed);
+      const FloodResult late = run_flood(algs, instance, ids, chaos, seed);
+      EXPECT_EQ(late.verdicts, lossy.verdicts) << "seed " << seed;
+      EXPECT_EQ(late.stats.messages_dropped, lossy.stats.messages_dropped);
+      EXPECT_GT(lossy.stats.messages_dropped, 0u);
+      EXPECT_NE(late.stats.messages_delayed, lossy.stats.messages_delayed);
+      EXPECT_NE(late.stats.fragments_sent, lossy.stats.fragments_sent);
+    }
+  }
 }
 
 TEST(EventEngine, ProcessCountersAccumulateAcrossRuns) {
