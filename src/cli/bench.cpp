@@ -31,43 +31,6 @@ struct BenchCell {
   long peak_rss_kb = 0;
 };
 
-bool deterministic_fields_equal(const gen::WorkloadResult& a,
-                                const gen::WorkloadResult& b) {
-  if (a.family != b.family || a.nodes != b.nodes || a.edges != b.edges ||
-      a.max_degree != b.max_degree || a.invariants_ok != b.invariants_ok ||
-      a.invariant_failures != b.invariant_failures ||
-      a.ball_classes != b.ball_classes || a.memo_hits != b.memo_hits ||
-      a.panel.size() != b.panel.size()) {
-    return false;
-  }
-  for (std::size_t i = 0; i < a.panel.size(); ++i) {
-    if (a.panel[i].algorithm != b.panel[i].algorithm ||
-        a.panel[i].yes_nodes != b.panel[i].yes_nodes ||
-        a.panel[i].accepted != b.panel[i].accepted) {
-      return false;
-    }
-  }
-  return true;
-}
-
-bool fault_fields_equal(const gen::FaultRobustnessResult& a,
-                        const gen::FaultRobustnessResult& b) {
-  if (a.family != b.family || a.profile != b.profile || a.nodes != b.nodes ||
-      !(a.stats == b.stats) || a.panel.size() != b.panel.size()) {
-    return false;
-  }
-  for (std::size_t i = 0; i < a.panel.size(); ++i) {
-    if (a.panel[i].algorithm != b.panel[i].algorithm ||
-        a.panel[i].sync_yes != b.panel[i].sync_yes ||
-        a.panel[i].faulty_yes != b.panel[i].faulty_yes ||
-        a.panel[i].agree_nodes != b.panel[i].agree_nodes ||
-        a.panel[i].control_identical != b.panel[i].control_identical) {
-      return false;
-    }
-  }
-  return true;
-}
-
 BenchCell run_cell(const std::string& selector, int size,
                    const BenchOptions& bench) {
   BenchCell cell;
@@ -117,9 +80,7 @@ BenchCell run_cell(const std::string& selector, int size,
     if (t == 0) {
       cell.result = std::move(result);
       cell.fault = std::move(fault);
-    } else if (!deterministic_fields_equal(cell.result, result) ||
-               (cell.fault.has_value() != fault.has_value()) ||
-               (cell.fault && !fault_fields_equal(*cell.fault, *fault))) {
+    } else if (cell.result != result || cell.fault != fault) {
       // The engine's central promise broke: record it as a cell failure so
       // the gate trips even without CI's external byte diff.
       cell.threads_agree = false;

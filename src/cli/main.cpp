@@ -15,7 +15,9 @@
 //   locald help [scenario]
 //
 // Exit status: 0 when every executed scenario reproduced the paper's
-// prediction, 1 when any scenario reported a mismatch, 2 on usage errors.
+// prediction, 1 when any scenario reported a mismatch, 2 on usage errors
+// (including every `Error` that escapes a command, such as an unknown
+// scenario or a selector the scenario does not take).
 #include <algorithm>
 #include <atomic>
 #include <chrono>
@@ -219,45 +221,6 @@ int list_faults(const ScenarioOptions& opts, const std::string& format) {
   return 0;
 }
 
-// `run --format json`: one scenario, the same document POST /v1/run returns
-// for the same (scenario, seed, size, trials) — CI byte-compares the two.
-int run_scenario_json(const std::string& name, const ScenarioOptions& base,
-                      int threads) {
-  const Scenario* scenario = find_scenario(name);
-  if (scenario == nullptr) {
-    std::cerr << "unknown scenario: " << name << " (see `locald list`)\n";
-    return 2;
-  }
-  if (!base.family.empty() && scenario->family_help.empty()) {
-    std::cerr << "scenario " << name << " does not take --family (see "
-              << "`locald help " << name << "`)\n";
-    return 2;
-  }
-  if (!base.faults.empty() && scenario->fault_help.empty()) {
-    std::cerr << "scenario " << name << " does not take --faults (see "
-              << "`locald help " << name << "`)\n";
-    return 2;
-  }
-  std::optional<exec::ThreadPool> pool;
-  if (threads != 1) {
-    pool.emplace(threads);
-  }
-  exec::VerdictCache cache;
-  server::RunRequest request;
-  request.scenario = name;
-  request.seed = base.seed;
-  request.size = base.size;
-  request.trials = base.trials;
-  request.family = base.family;
-  request.fault_profile = base.faults;
-  exec::ExecContext ctx;
-  ctx.pool = pool ? &*pool : nullptr;
-  ctx.cache = &cache;
-  bool ok = false;
-  std::cout << server::run_document(request, ctx, &ok);
-  return ok ? 0 : 1;
-}
-
 std::atomic<bool> g_shutdown{false};
 void on_shutdown_signal(int) { g_shutdown.store(true); }
 
@@ -288,73 +251,61 @@ int run_serve(const server::ServeOptions& serve_opts) {
 }
 
 int help_scenario(const std::string& name) {
-  const Scenario* s = find_scenario(name);
-  if (s == nullptr) {
-    std::cerr << "unknown scenario: " << name << " (see `locald list`)\n";
-    return 2;
-  }
-  std::cout << s->name << " — " << s->paper_ref << "\n  " << s->summary
-            << "\n  --size: "
-            << (s->size_help.empty() ? "unused" : s->size_help)
+  const Scenario& s = resolve_scenario(name, {}, {});
+  std::cout << s.name << " — " << s.paper_ref << "\n  " << s.summary
+            << "\n  --size: " << (s.size_help.empty() ? "unused" : s.size_help)
             << "\n  --family: "
-            << (s->family_help.empty() ? "unsupported" : s->family_help)
+            << (s.family_help.empty() ? "unsupported" : s.family_help)
             << "\n  --faults: "
-            << (s->fault_help.empty() ? "unsupported" : s->fault_help)
-            << "\n";
+            << (s.fault_help.empty() ? "unsupported" : s.fault_help) << "\n";
   return 0;
 }
 
+// `json` (`run --format json`, one scenario) prints the document POST
+// /v1/run returns for the same (scenario, seed, size, trials); CI
+// byte-compares the two. Throws what `resolve_scenario` throws.
 int run_scenarios(const std::vector<std::string>& names,
-                  const ScenarioOptions& base_opts, int threads) {
-  std::optional<exec::ThreadPool> pool;
-  if (threads != 1) {
-    pool.emplace(threads);
-  }
+                  const ScenarioOptions& base_opts, exec::ThreadPool* pool,
+                  bool json) {
   bool all_ok = true;
   for (const std::string& name : names) {
-    const Scenario* s = find_scenario(name);
-    if (s == nullptr) {
-      std::cerr << "unknown scenario: " << name << " (see `locald list`)\n";
-      return 2;
-    }
-    if (!base_opts.family.empty() && s->family_help.empty()) {
-      std::cerr << "scenario " << name << " does not take --family (see "
-                << "`locald help " << name << "`)\n";
-      return 2;
-    }
-    if (!base_opts.faults.empty() && s->fault_help.empty()) {
-      std::cerr << "scenario " << name << " does not take --faults (see "
-                << "`locald help " << name << "`)\n";
-      return 2;
-    }
+    const Scenario& scenario =
+        resolve_scenario(name, base_opts.family, base_opts.faults);
     // Fresh cache per scenario: memoized verdicts are keyed by algorithm
     // name, so scoping the cache to one scenario run keeps name reuse
     // across scenarios harmless.
     exec::VerdictCache cache;
     ScenarioOptions opts = base_opts;
-    opts.exec.pool = pool ? &*pool : nullptr;
+    opts.exec.pool = pool;
     opts.exec.cache = &cache;
+    if (json) {
+      bool ok = false;
+      std::cout << server::run_document(name, opts, &ok);
+      all_ok = all_ok && ok;
+      continue;
+    }
     const obs::Stopwatch stopwatch;
     if (opts.format == OutputFormat::text) {
-      std::cout << "=== " << s->name << " (" << s->paper_ref << ") ===\n\n";
+      std::cout << "=== " << scenario.name << " (" << scenario.paper_ref
+                << ") ===\n\n";
     }
     // A throwing scenario counts as a mismatch but must not take down the
     // rest of a --all run.
     bool ok = false;
     try {
-      obs::Span span("scenario", s->name);
-      ok = s->run(opts, std::cout);
+      obs::Span span("scenario", scenario.name);
+      ok = scenario.run(opts, std::cout);
     } catch (const std::exception& e) {
-      std::cerr << "[" << s->name << "] error: " << e.what() << "\n";
+      std::cerr << "[" << scenario.name << "] error: " << e.what() << "\n";
     }
     const double secs = stopwatch.elapsed_seconds();
     if (opts.format == OutputFormat::text) {
-      std::cout << "[" << s->name << "] "
+      std::cout << "[" << scenario.name << "] "
                 << (ok ? "reproduced" : "MISMATCH with the paper") << " in "
                 << fixed(secs, 2) << "s\n\n";
     } else {
-      std::cout << "# [" << s->name << "] " << (ok ? "reproduced" : "MISMATCH")
-                << "\n";
+      std::cout << "# [" << scenario.name << "] "
+                << (ok ? "reproduced" : "MISMATCH") << "\n";
     }
     all_ok = all_ok && ok;
   }
@@ -604,6 +555,13 @@ int main_impl(int argc, char** argv) {
   if (!families.empty()) {
     opts.family = families.front();
   }
+  // run and sweep: one execution pool for the whole command (1 = serial, no
+  // pool).
+  const auto with_pool = [&](const std::function<int(exec::ThreadPool*)>& fn) {
+    std::optional<exec::ThreadPool> pool;
+    if (threads != 1) pool.emplace(threads);
+    return with_trace([&] { return fn(pool ? &*pool : nullptr); });
+  };
   if (command == "list") {
     if (families_flag && faults_flag) {
       std::cerr << "--families and --faults list different registries; "
@@ -649,10 +607,10 @@ int main_impl(int argc, char** argv) {
         std::cerr << "--timing is not available with --format json\n";
         return 2;
       }
-      return with_trace(
-          [&] { return run_scenario_json(names.front(), opts, threads); });
     }
-    return with_trace([&] { return run_scenarios(names, opts, threads); });
+    return with_pool([&](exec::ThreadPool* pool) {
+      return run_scenarios(names, opts, pool, format == "json");
+    });
   }
   if (command == "serve") {
     if (!positional.empty() || run_all || timing || !sizes.empty() ||
@@ -704,10 +662,11 @@ int main_impl(int argc, char** argv) {
     sweep.trials = opts.trials;
     sweep.family = opts.family;
     sweep.faults = opts.faults;
-    sweep.threads = threads;
     sweep.timing = timing;
-    return with_trace(
-        [&] { return run_sweep(positional.front(), sweep, std::cout); });
+    return with_pool([&](exec::ThreadPool* pool) {
+      sweep.pool = pool;
+      return run_sweep(positional.front(), sweep, std::cout);
+    });
   }
   if (command == "bench") {
     if (!positional.empty() || run_all || !format.empty() || opts.size != 0 ||
@@ -739,5 +698,12 @@ int main_impl(int argc, char** argv) {
 
 int main(int argc, char** argv) {
   locald::obs::anchor_uptime();
-  return locald::cli::main_impl(argc, argv);
+  try {
+    return locald::cli::main_impl(argc, argv);
+  } catch (const locald::Error& e) {
+    // A rejected input the library reports, e.g. `resolve_scenario`'s
+    // unknown scenario or unsupported selector: a usage error.
+    std::cerr << e.what() << "\n";
+    return 2;
+  }
 }

@@ -28,6 +28,25 @@ const Scenario* find_scenario(const std::string& name) {
   return nullptr;
 }
 
+const Scenario& resolve_scenario(const std::string& name,
+                                 const std::string& family,
+                                 const std::string& faults) {
+  const Scenario* scenario = find_scenario(name);
+  if (scenario == nullptr) {
+    throw UnknownScenario(cat("unknown scenario ", json_quote(name),
+                              " (see `locald list` or /v1/scenarios)"));
+  }
+  const char* unsupported =
+      !family.empty() && scenario->family_help.empty()  ? "a family"
+      : !faults.empty() && scenario->fault_help.empty() ? "a fault profile"
+                                                        : nullptr;
+  if (unsupported != nullptr) {
+    throw Error(cat("scenario ", json_quote(name), " does not take ",
+                    unsupported, " (see `locald help ", name, "`)"));
+  }
+  return *scenario;
+}
+
 void emit_table(std::ostream& out, const ScenarioOptions& opts,
                 const std::string& title, const TextTable& table) {
   if (opts.format == OutputFormat::csv) {

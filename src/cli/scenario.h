@@ -16,6 +16,7 @@
 #include <vector>
 
 #include "exec/context.h"
+#include "support/check.h"
 #include "support/format.h"
 
 namespace locald::cli {
@@ -31,11 +32,11 @@ struct ScenarioOptions {
   int trials = 0;
   // `--family name:k=v,...` selector (gen/family.h); empty = the scenario's
   // built-in topology. Only meaningful for scenarios declaring
-  // `family_help`; the driver and the HTTP API reject it elsewhere.
+  // `family_help`; `resolve_scenario` rejects it elsewhere.
   std::string family;
   // `--faults name:k=v,...` selector (local/fault_profile.h); empty = the
   // scenario's default profile. Only meaningful for scenarios declaring
-  // `fault_help`; the driver and the HTTP API reject it elsewhere.
+  // `fault_help`; `resolve_scenario` rejects it elsewhere.
   std::string faults;
   OutputFormat format = OutputFormat::text;
   // Include wall-clock columns in scenario tables (`locald run --timing`).
@@ -71,6 +72,21 @@ const std::vector<Scenario>& scenario_registry();
 
 // Lookup by CLI name; nullptr when unknown.
 const Scenario* find_scenario(const std::string& name);
+
+// A scenario name the registry does not hold: HTTP 404, CLI exit 2.
+class UnknownScenario : public Error {
+ public:
+  using Error::Error;
+};
+
+// The one validation of a scenario request, shared by `locald run|sweep`
+// and `POST /v1/run|/v1/sweep`. Throws `UnknownScenario` for an unknown
+// name, and `Error` (HTTP 400, CLI exit 2) for a non-empty `family` or
+// `faults` selector the scenario does not declare. Both surfaces report the
+// exception's message verbatim.
+const Scenario& resolve_scenario(const std::string& name,
+                                 const std::string& family,
+                                 const std::string& faults);
 
 // Shared table emission: a titled aligned table in text mode, a
 // `# title`-prefixed RFC-4180 block in CSV mode.

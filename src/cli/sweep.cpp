@@ -1,7 +1,5 @@
 #include "cli/sweep.h"
 
-#include <iostream>
-#include <optional>
 #include <sstream>
 
 #include "cli/scenario.h"
@@ -24,7 +22,7 @@ struct CellResult {
 };
 
 CellResult run_cell(const Scenario& scenario, const SweepOptions& sweep,
-                    int size, exec::ThreadPool* pool) {
+                    int size) {
   CellResult cell;
   cell.size = size;
   // A fresh cache per cell keeps memory bounded and makes the reported hit
@@ -37,7 +35,7 @@ CellResult run_cell(const Scenario& scenario, const SweepOptions& sweep,
   opts.family = sweep.family;
   opts.faults = sweep.faults;
   opts.format = OutputFormat::csv;
-  opts.exec.pool = pool;
+  opts.exec.pool = sweep.pool;
   opts.exec.cache = &cache;
   std::ostringstream sink;  // tables are the run-mode UI; sweep keeps JSON
   const obs::Stopwatch stopwatch;
@@ -57,33 +55,11 @@ CellResult run_cell(const Scenario& scenario, const SweepOptions& sweep,
 
 int run_sweep(const std::string& scenario_name, const SweepOptions& sweep,
               std::ostream& out, const std::function<void()>& flush) {
-  const Scenario* scenario = find_scenario(scenario_name);
-  if (scenario == nullptr) {
-    std::cerr << "unknown scenario: " << scenario_name
-              << " (see `locald list`)\n";
-    return 2;
-  }
-  if (!sweep.family.empty() && scenario->family_help.empty()) {
-    std::cerr << "scenario " << scenario_name
-              << " does not take --family (see `locald help " << scenario_name
-              << "`)\n";
-    return 2;
-  }
-  if (!sweep.faults.empty() && scenario->fault_help.empty()) {
-    std::cerr << "scenario " << scenario_name
-              << " does not take --faults (see `locald help " << scenario_name
-              << "`)\n";
-    return 2;
-  }
+  const Scenario& scenario =
+      resolve_scenario(scenario_name, sweep.family, sweep.faults);
   std::vector<int> sizes = sweep.sizes;
   if (sizes.empty()) {
     sizes.push_back(0);
-  }
-  std::optional<exec::ThreadPool> owned_pool;
-  exec::ThreadPool* pool = sweep.pool;
-  if (pool == nullptr && sweep.threads != 1) {
-    owned_pool.emplace(sweep.threads);
-    pool = &*owned_pool;
   }
 
   // The document is emitted incrementally — prelude, one object per cell as
@@ -101,7 +77,7 @@ int run_sweep(const std::string& scenario_name, const SweepOptions& sweep,
   w.key("scenario");
   w.value(scenario_name);
   w.key("paper_ref");
-  w.value(scenario->paper_ref);
+  w.value(scenario.paper_ref);
   w.key("seed");
   w.value(sweep.seed);
   if (!sweep.family.empty()) {
@@ -120,7 +96,7 @@ int run_sweep(const std::string& scenario_name, const SweepOptions& sweep,
   }
   if (sweep.timing) {
     w.key("threads");
-    w.value(pool ? pool->parallelism() : 1);
+    w.value(sweep.pool ? sweep.pool->parallelism() : 1);
   }
   w.key("cells");
   w.begin_array();
@@ -132,7 +108,7 @@ int run_sweep(const std::string& scenario_name, const SweepOptions& sweep,
   // scenario's hot paths, which keeps nested pools out of the picture and
   // the JSON cell order fixed.
   for (int size : sizes) {
-    const CellResult cell = run_cell(*scenario, sweep, size, pool);
+    const CellResult cell = run_cell(scenario, sweep, size);
     all_ok = all_ok && cell.ok;
     w.begin_object();
     w.key("size");

@@ -32,17 +32,17 @@ struct SweepOptions {
   // only; rejected otherwise). The event engine's schedule is seeded, so the
   // byte-identity contract above holds with faults enabled.
   std::string faults;
-  int threads = 1;         // 0 = hardware parallelism
   bool timing = false;     // include the volatile timing/cache fields
-  // Externally-owned pool (the serving layer's process-wide one). When set,
-  // `threads` is ignored and the sweep borrows this pool instead of
-  // constructing its own; the document bytes are identical either way.
+  // The pool every cell runs on (null = serial). The caller owns it: the
+  // CLI passes the one it built from --threads, the serving layer its
+  // process-wide pool. The document bytes are identical either way.
   exec::ThreadPool* pool = nullptr;
 };
 
 // Runs every cell and writes the JSON document to `out`. Returns the
 // process exit code: 0 when every cell reproduced the paper's prediction,
-// 1 otherwise.
+// 1 otherwise. Throws what `resolve_scenario` throws, before writing
+// anything, for an unknown scenario or an unsupported selector.
 //
 // The document is written incrementally: the prelude (everything before the
 // cells array), then one cell object as each cell finishes, then the

@@ -43,6 +43,8 @@ struct PanelVerdict {
   std::string algorithm;
   std::int64_t yes_nodes = 0;  // nodes outputting yes
   bool accepted = false;       // the paper's rule: yes everywhere
+
+  bool operator==(const PanelVerdict&) const = default;
 };
 
 struct WorkloadResult {
@@ -60,6 +62,8 @@ struct WorkloadResult {
   std::vector<PanelVerdict> panel;
 
   bool ok() const { return invariants_ok; }
+  // Every field is deterministic, so equality is bench's cross-thread check.
+  bool operator==(const WorkloadResult&) const = default;
 };
 
 // Names of the fixed oblivious panel, in evaluation order.
@@ -91,6 +95,8 @@ struct FaultPanelRow {
   // equivalence the engine promises; any false here is an engine bug, not a
   // property of the profile.
   bool control_identical = false;
+
+  bool operator==(const FaultPanelRow&) const = default;
 };
 
 struct FaultRobustnessResult {
@@ -108,6 +114,7 @@ struct FaultRobustnessResult {
     }
     return true;
   }
+  bool operator==(const FaultRobustnessResult&) const = default;
 };
 
 // Runs the pass. Deterministic at every `exec` thread count (the control

@@ -1,7 +1,6 @@
 #include "local/indistinguishability.h"
 
 #include "graph/isomorphism.h"
-#include "local/simulator.h"
 #include "support/hash.h"
 
 namespace locald::local {
@@ -88,11 +87,6 @@ AuditResult audit_indistinguishability(const LabeledGraph& no_instance,
   }
   result.distinct_balls = seen.size();
   return result;
-}
-
-bool oblivious_accepts(const LocalAlgorithm& alg,
-                       const LabeledGraph& instance) {
-  return run_oblivious(alg, instance).accepted;
 }
 
 }  // namespace locald::local

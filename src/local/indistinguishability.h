@@ -79,10 +79,4 @@ AuditResult audit_indistinguishability(const LabeledGraph& no_instance,
                                        const exec::ExecContext& ctx = {},
                                        std::size_t max_witnesses = 5);
 
-// Runs the oblivious algorithm on the no-instance and reports whether it
-// (incorrectly, given a successful audit) accepts. Convenience for
-// experiments that pair the audit with a concrete candidate decider.
-bool oblivious_accepts(const LocalAlgorithm& alg,
-                       const LabeledGraph& instance);
-
 }  // namespace locald::local

@@ -206,29 +206,6 @@ IdDependenceProbe probe_id_dependence(const LocalAlgorithm& alg,
   return probe;
 }
 
-RandomizedRun run_randomized_once(const RandomizedLocalAlgorithm& alg,
-                                  const LabeledGraph& g,
-                                  const IdAssignment* ids, Rng& rng) {
-  if (!alg.id_oblivious()) {
-    LOCALD_CHECK(ids != nullptr,
-                 "id-aware randomized algorithm needs identifiers");
-  }
-  const IdAssignment* visible_ids = alg.id_oblivious() ? nullptr : ids;
-  RandomizedRun run;
-  run.outputs.reserve(static_cast<std::size_t>(g.node_count()));
-  BallScratch scratch;
-  for (graph::NodeId v = 0; v < g.node_count(); ++v) {
-    const BallView ball = scratch.extract(g, visible_ids, v, alg.horizon());
-    Rng node_coin = rng.split();
-    const Verdict out = alg.evaluate(ball, node_coin);
-    run.outputs.push_back(out);
-    if (out == Verdict::no) {
-      run.accepted = false;
-    }
-  }
-  return run;
-}
-
 AcceptanceEstimate estimate_acceptance(const RandomizedLocalAlgorithm& alg,
                                        const LabeledGraph& g,
                                        const IdAssignment* ids, int trials,

@@ -85,16 +85,6 @@ IdDependenceProbe probe_id_dependence(const LocalAlgorithm& alg,
                                       int trials,
                                       const RunOptions& options = {});
 
-// Randomized algorithms: one independent RNG stream per node per trial.
-struct RandomizedRun {
-  std::vector<Verdict> outputs;
-  bool accepted = true;
-};
-
-RandomizedRun run_randomized_once(const RandomizedLocalAlgorithm& alg,
-                                  const LabeledGraph& g,
-                                  const IdAssignment* ids, Rng& rng);
-
 // Monte-Carlo estimate of Pr[accept].
 struct AcceptanceEstimate {
   int trials = 0;

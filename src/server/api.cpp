@@ -89,50 +89,41 @@ void reject_unknown_fields(const JsonValue& root,
 
 }  // namespace
 
-// A scenario must opt into family parameterization before a request may
-// select one; checked before running anything so the mistake surfaces as a
-// 400, not a half-run document (or a half-streamed one).
-void check_family_supported(const cli::Scenario& scenario,
-                            const std::string& family) {
-  LOCALD_CHECK(family.empty() || !scenario.family_help.empty(),
-               cat("scenario ", json_quote(scenario.name),
-                   " does not take a family"));
-}
-
-void check_faults_supported(const cli::Scenario& scenario,
-                            const std::string& fault_profile) {
-  LOCALD_CHECK(fault_profile.empty() || !scenario.fault_help.empty(),
-               cat("scenario ", json_quote(scenario.name),
-                   " does not take a fault profile"));
-}
-
-RunRequest parse_run_request(const std::string& body) {
+ScenarioRequest<cli::ScenarioOptions> parse_run_request(
+    const std::string& body) {
   const JsonValue root = parse_object_body(body);
   reject_unknown_fields(
       root, {"scenario", "seed", "size", "trials", "family", "fault_profile"});
-  RunRequest req;
+  ScenarioRequest<cli::ScenarioOptions> req;
   req.scenario = take_scenario_name(root);
-  if (const JsonValue* v = root.find("seed")) req.seed = take_seed(*v, "seed");
-  if (const JsonValue* v = root.find("size")) req.size = take_count(*v, "size");
-  if (const JsonValue* v = root.find("trials")) {
-    req.trials = take_count(*v, "trials");
+  cli::ScenarioOptions& opts = req.options;
+  if (const JsonValue* v = root.find("seed")) opts.seed = take_seed(*v, "seed");
+  if (const JsonValue* v = root.find("size")) {
+    opts.size = take_count(*v, "size");
   }
-  req.family = take_family(root);
-  req.fault_profile = take_fault_profile(root);
+  if (const JsonValue* v = root.find("trials")) {
+    opts.trials = take_count(*v, "trials");
+  }
+  opts.family = take_family(root);
+  opts.faults = take_fault_profile(root);
   return req;
 }
 
-SweepRequest parse_sweep_request(const std::string& body) {
+ScenarioRequest<cli::SweepOptions> parse_sweep_request(
+    const std::string& body) {
   const JsonValue root = parse_object_body(body);
   reject_unknown_fields(
       root, {"scenario", "seed", "sizes", "trials", "family", "fault_profile"});
-  SweepRequest req;
+  ScenarioRequest<cli::SweepOptions> req;
   req.scenario = take_scenario_name(root);
-  req.family = take_family(root);
-  req.fault_profile = take_fault_profile(root);
-  if (const JsonValue* v = root.find("seed")) req.seed = take_seed(*v, "seed");
+  cli::SweepOptions& sweep = req.options;
+  sweep.family = take_family(root);
+  sweep.faults = take_fault_profile(root);
+  if (const JsonValue* v = root.find("seed")) {
+    sweep.seed = take_seed(*v, "seed");
+  }
   if (const JsonValue* v = root.find("trials")) {
-    req.trials = take_count(*v, "trials");
+    sweep.trials = take_count(*v, "trials");
   }
   if (const JsonValue* v = root.find("sizes")) {
     LOCALD_CHECK(v->is_array(), "field \"sizes\" must be an array");
@@ -143,7 +134,7 @@ SweepRequest parse_sweep_request(const std::string& body) {
     LOCALD_CHECK(v->items().size() <= 256,
                  "field \"sizes\" holds more than 256 cells");
     for (const JsonValue& item : v->items()) {
-      req.sizes.push_back(take_count(item, "sizes"));
+      sweep.sizes.push_back(take_count(item, "sizes"));
     }
   }
   return req;
@@ -287,30 +278,19 @@ std::string version_document() {
   return out.str();
 }
 
-std::string run_document(const RunRequest& request,
-                         const exec::ExecContext& exec, bool* ok_out) {
-  const cli::Scenario* scenario = cli::find_scenario(request.scenario);
-  LOCALD_CHECK(scenario != nullptr,
-               cat("unknown scenario ", json_quote(request.scenario),
-                   " (see /v1/scenarios or `locald list`)"));
-  check_family_supported(*scenario, request.family);
-  check_faults_supported(*scenario, request.fault_profile);
-
-  cli::ScenarioOptions opts;
-  opts.seed = request.seed;
-  opts.size = request.size;
-  opts.trials = request.trials;
-  opts.family = request.family;
-  opts.faults = request.fault_profile;
-  opts.format = cli::OutputFormat::csv;  // the machine-readable renderer
-  opts.exec = exec;
+std::string run_document(const std::string& scenario_name,
+                         const cli::ScenarioOptions& opts, bool* ok_out) {
+  const cli::Scenario& scenario =
+      cli::resolve_scenario(scenario_name, opts.family, opts.faults);
+  cli::ScenarioOptions csv = opts;
+  csv.format = cli::OutputFormat::csv;  // the machine-readable renderer
 
   std::ostringstream tables;
   bool ok = false;
   std::string error;
   try {
-    obs::Span span("run-document", scenario->name);
-    ok = scenario->run(opts, tables);
+    obs::Span span("run-document", scenario.name);
+    ok = scenario.run(csv, tables);
   } catch (const std::exception& e) {
     error = e.what();
   }
@@ -324,22 +304,22 @@ std::string run_document(const RunRequest& request,
   w.key("schema_version");
   w.value(kSchemaVersion);
   w.key("scenario");
-  w.value(scenario->name);
+  w.value(scenario.name);
   w.key("paper_ref");
-  w.value(scenario->paper_ref);
+  w.value(scenario.paper_ref);
   w.key("seed");
-  w.value(request.seed);
+  w.value(opts.seed);
   w.key("size");
-  w.value(request.size);
+  w.value(opts.size);
   w.key("trials");
-  w.value(request.trials);
-  if (!request.family.empty()) {
+  w.value(opts.trials);
+  if (!opts.family.empty()) {
     w.key("family");
-    w.value(request.family);
+    w.value(opts.family);
   }
-  if (!request.fault_profile.empty()) {
+  if (!opts.faults.empty()) {
     w.key("faults");
-    w.value(request.fault_profile);
+    w.value(opts.faults);
   }
   w.key("ok");
   w.value(ok);
@@ -356,45 +336,18 @@ std::string run_document(const RunRequest& request,
   return out.str();
 }
 
-namespace {
-
-cli::SweepOptions sweep_options_for(const SweepRequest& request,
-                                    exec::ThreadPool* pool) {
-  // Existence is checked here so the HTTP layer can answer 404 before
-  // running (or streaming) anything; run_sweep re-checks internally.
-  const cli::Scenario* scenario = cli::find_scenario(request.scenario);
-  LOCALD_CHECK(scenario != nullptr,
-               cat("unknown scenario ", json_quote(request.scenario),
-                   " (see /v1/scenarios or `locald list`)"));
-  check_family_supported(*scenario, request.family);
-  check_faults_supported(*scenario, request.fault_profile);
-  cli::SweepOptions sweep;
-  sweep.seed = request.seed;
-  sweep.sizes = request.sizes;
-  sweep.trials = request.trials;
-  sweep.family = request.family;
-  sweep.faults = request.fault_profile;
-  sweep.timing = false;  // scheduling-dependent fields never leave /v1/metrics
-  sweep.pool = pool;
-  return sweep;
-}
-
-}  // namespace
-
-std::string sweep_document(const SweepRequest& request,
-                           exec::ThreadPool* pool, bool* ok_out) {
-  const cli::SweepOptions sweep = sweep_options_for(request, pool);
+std::string sweep_document(const std::string& scenario,
+                           const cli::SweepOptions& sweep, bool* ok_out) {
   std::ostringstream out;
-  obs::Span span("sweep-document", request.scenario);
-  const int exit_code = cli::run_sweep(request.scenario, sweep, out);
+  obs::Span span("sweep-document", scenario);
+  const int exit_code = cli::run_sweep(scenario, sweep, out);
   if (ok_out != nullptr) *ok_out = exit_code == 0;
   return out.str();
 }
 
 void sweep_document_stream(
-    const SweepRequest& request, exec::ThreadPool* pool,
+    const std::string& scenario, const cli::SweepOptions& sweep,
     const std::function<void(const std::string&)>& emit, bool* ok_out) {
-  const cli::SweepOptions sweep = sweep_options_for(request, pool);
   // One buffer, drained at every flush boundary: the emitted pieces are a
   // partition of exactly the bytes the buffered path returns, because both
   // paths run the identical writer over the identical stream.
@@ -406,7 +359,7 @@ void sweep_document_stream(
       emit(piece);
     }
   };
-  const int exit_code = cli::run_sweep(request.scenario, sweep, out, flush);
+  const int exit_code = cli::run_sweep(scenario, sweep, out, flush);
   if (ok_out != nullptr) *ok_out = exit_code == 0;
 }
 

@@ -11,50 +11,34 @@
 // `/v1/metrics`, never here.
 #pragma once
 
-#include <cstdint>
 #include <functional>
 #include <string>
-#include <vector>
 
 #include "cli/scenario.h"
-#include "exec/context.h"
+#include "cli/sweep.h"
 
 namespace locald::server {
 
-// Body of POST /v1/run, mirroring `cli::ScenarioOptions`. Defaults match
-// the CLI flags' defaults so the two surfaces agree on omitted fields.
-struct RunRequest {
+// A decoded POST /v1/run or /v1/sweep body: the scenario name plus the
+// option struct the CLI builds from its flags (`cli::ScenarioOptions` for a
+// run, `cli::SweepOptions` for a sweep), so omitted fields take the CLI
+// flags' defaults. Only the request fields are set; the server supplies the
+// execution engine. The JSON field `fault_profile` decodes into `faults`.
+template <class Options>
+struct ScenarioRequest {
   std::string scenario;
-  std::uint64_t seed = 42;
-  int size = 0;    // 0 = scenario default
-  int trials = 0;  // 0 = scenario default
-  // gen/family.h selector ("name:k=v,..."); empty = the scenario's built-in
-  // topology. Only family-aware scenarios accept it (400 otherwise).
-  std::string family;
-  // local/fault_profile.h selector ("name:k=v,..."); empty = the scenario's
-  // default profile. Only fault-aware scenarios accept it (400 otherwise).
-  // The event engine's schedule is seeded, so fault-parameterized documents
-  // keep the byte-identity contract.
-  std::string fault_profile;
-};
-
-// Body of POST /v1/sweep, mirroring `cli::SweepOptions` minus the
-// scheduling-affecting knobs (threads, timing) which the server owns.
-struct SweepRequest {
-  std::string scenario;
-  std::uint64_t seed = 42;
-  std::vector<int> sizes;  // empty = the scenario's default size
-  int trials = 0;
-  std::string family;         // as in RunRequest; handed to every cell
-  std::string fault_profile;  // as in RunRequest; handed to every cell
+  Options options;
 };
 
 // Decode a request body. Both throw `Error` (surfaced as HTTP 400) on
 // malformed JSON, wrong field types, negative values, or unknown fields —
 // unknown fields are rejected so a typoed "trails" cannot silently run a
-// default-parameter sweep.
-RunRequest parse_run_request(const std::string& body);
-SweepRequest parse_sweep_request(const std::string& body);
+// default-parameter sweep. The scenario itself is resolved later, by the
+// document builders.
+ScenarioRequest<cli::ScenarioOptions> parse_run_request(
+    const std::string& body);
+ScenarioRequest<cli::SweepOptions> parse_sweep_request(
+    const std::string& body);
 
 // The scenario catalog: GET /v1/scenarios and `locald list --format json`.
 std::string scenarios_document();
@@ -74,20 +58,22 @@ std::string faults_document();
 // decide whether its parser still matches the server.
 std::string version_document();
 
-// One scenario run: POST /v1/run and `locald run --format json`. Executes
-// the scenario with `exec` (shared pool + cache on the server; per-run on
-// the CLI — the engine contract makes the bytes identical either way) and
-// reports whether the paper's prediction was reproduced. `ok_out`, when
-// non-null, receives the verdict for exit-code plumbing.
-std::string run_document(const RunRequest& request,
-                         const exec::ExecContext& exec, bool* ok_out);
+// One scenario run: POST /v1/run and `locald run --format json`. Runs
+// `scenario` with `opts` as given (seed, size, trials, selectors, and the
+// execution engine: shared pool + cache on the server, per-run on the CLI —
+// the engine contract makes the bytes identical either way), rendering its
+// tables as CSV, and reports whether the paper's prediction was reproduced.
+// `ok_out`, when non-null, receives the verdict for exit-code plumbing.
+// Throws what `cli::resolve_scenario` throws, before running anything.
+std::string run_document(const std::string& scenario,
+                         const cli::ScenarioOptions& opts, bool* ok_out);
 
-// A size-grid sweep: POST /v1/sweep. Delegates to `cli::run_sweep` with
-// timing disabled, so the body is the same deterministic document the CLI
-// prints (cells keep their fresh per-cell caches). `pool` is the server's
-// process-wide pool (null = serial). `ok_out` as above.
-std::string sweep_document(const SweepRequest& request,
-                           exec::ThreadPool* pool, bool* ok_out);
+// A size-grid sweep: POST /v1/sweep. Delegates to `cli::run_sweep`, so the
+// body is the same deterministic document the CLI prints (cells keep their
+// fresh per-cell caches); `sweep.pool` is the server's process-wide pool
+// (null = serial) and `sweep.timing` stays off. `ok_out` as above.
+std::string sweep_document(const std::string& scenario,
+                           const cli::SweepOptions& sweep, bool* ok_out);
 
 // Streamed form of `sweep_document`: the SAME bytes, handed to `emit` in
 // pieces as cells finish (prelude, one piece per cell, postlude) instead of
@@ -95,22 +81,10 @@ std::string sweep_document(const SweepRequest& request,
 // Concatenating every `emit` piece reproduces `sweep_document`'s return
 // value byte for byte. An `emit` that throws aborts the sweep and
 // propagates (the serving layer stops computing for a vanished client).
-void sweep_document_stream(const SweepRequest& request,
-                           exec::ThreadPool* pool,
+void sweep_document_stream(const std::string& scenario,
+                           const cli::SweepOptions& sweep,
                            const std::function<void(const std::string&)>& emit,
                            bool* ok_out);
-
-// Throws `Error` (HTTP 400) when `family` is non-empty but `scenario` is
-// not family-parameterized. The serving layer runs this before committing
-// to a streamed response head; the document builders re-check internally.
-void check_family_supported(const cli::Scenario& scenario,
-                            const std::string& family);
-
-// Throws `Error` (HTTP 400) when `fault_profile` is non-empty but
-// `scenario` is not fault-parameterized; same timing as
-// check_family_supported.
-void check_faults_supported(const cli::Scenario& scenario,
-                            const std::string& fault_profile);
 
 // {"error": ..., "status": N} — the uniform 4xx/5xx body.
 std::string error_document(int status, const std::string& message);

@@ -149,6 +149,14 @@ HttpResponse error_response(int status, const std::string& message) {
   return r;
 }
 
+// A rejected request: 404 for a scenario the registry does not hold, 400
+// for every other caller error (bad body, unsupported selector).
+HttpResponse request_error(const Error& e) {
+  const bool unknown =
+      dynamic_cast<const cli::UnknownScenario*>(&e) != nullptr;
+  return error_response(unknown ? 404 : 400, e.what());
+}
+
 HttpResponse method_not_allowed(const std::string& allow) {
   HttpResponse r = error_response(405, cat("method not allowed; use ", allow));
   r.extra_headers.emplace_back("Allow", allow);
@@ -539,26 +547,17 @@ std::optional<HttpResponse> Server::stream_sweep(int fd,
                                                  std::uint64_t* bytes_sent) {
   *io_failed = false;
   *bytes_sent = 0;
-  SweepRequest sweep;
-  try {
-    sweep = parse_sweep_request(request.body);
-  } catch (const Error& e) {
-    return error_response(400, e.what());
-  }
   // Everything that can fail is checked before the 200 head is committed
   // to the wire; past this point errors can only abort the connection.
-  const cli::Scenario* scenario = cli::find_scenario(sweep.scenario);
-  if (scenario == nullptr) {
-    return error_response(404, cat("unknown scenario ",
-                                   json_quote(sweep.scenario),
-                                   " (see /v1/scenarios)"));
-  }
+  ScenarioRequest<cli::SweepOptions> sweep;
   try {
-    check_family_supported(*scenario, sweep.family);
-    check_faults_supported(*scenario, sweep.fault_profile);
+    sweep = parse_sweep_request(request.body);
+    cli::resolve_scenario(sweep.scenario, sweep.options.family,
+                          sweep.options.faults);
   } catch (const Error& e) {
-    return error_response(400, e.what());
+    return request_error(e);
   }
+  sweep.options.pool = pool_ ? &*pool_ : nullptr;
 
   if (!send_all(fd, serialize_http_response_head(HttpResponse{}, keep_alive))) {
     *io_failed = true;
@@ -567,7 +566,7 @@ std::optional<HttpResponse> Server::stream_sweep(int fd,
   struct ClientGone {};
   try {
     sweep_document_stream(
-        sweep, pool_ ? &*pool_ : nullptr,
+        sweep.scenario, sweep.options,
         [&](const std::string& piece) {
           if (!send_all(fd, encode_chunk(piece))) throw ClientGone{};
           *bytes_sent += piece.size();
@@ -670,26 +669,15 @@ HttpResponse Server::handle(const HttpRequest& request) {
       response.body = obs::registry().render_prometheus();
     } else if (path == "/v1/run") {
       if (request.method != "POST") return method_not_allowed("POST");
-      const RunRequest run = parse_run_request(request.body);
-      if (cli::find_scenario(run.scenario) == nullptr) {
-        return error_response(
-            404, cat("unknown scenario ", json_quote(run.scenario),
-                     " (see /v1/scenarios)"));
-      }
-      exec::ExecContext ctx;
-      ctx.pool = pool_ ? &*pool_ : nullptr;
-      ctx.cache = &cache_;
-      response.body = run_document(run, ctx, nullptr);
+      auto run = parse_run_request(request.body);
+      run.options.exec.pool = pool_ ? &*pool_ : nullptr;
+      run.options.exec.cache = &cache_;
+      response.body = run_document(run.scenario, run.options, nullptr);
     } else if (path == "/v1/sweep") {
       if (request.method != "POST") return method_not_allowed("POST");
-      const SweepRequest sweep = parse_sweep_request(request.body);
-      if (cli::find_scenario(sweep.scenario) == nullptr) {
-        return error_response(
-            404, cat("unknown scenario ", json_quote(sweep.scenario),
-                     " (see /v1/scenarios)"));
-      }
-      response.body = sweep_document(sweep, pool_ ? &*pool_ : nullptr,
-                                     nullptr);
+      auto sweep = parse_sweep_request(request.body);
+      sweep.options.pool = pool_ ? &*pool_ : nullptr;
+      response.body = sweep_document(sweep.scenario, sweep.options, nullptr);
     } else {
       return error_response(
           404, cat("no such endpoint ", json_quote(path),
@@ -698,8 +686,9 @@ HttpResponse Server::handle(const HttpRequest& request) {
                    "/v1/sweep"));
     }
   } catch (const Error& e) {
-    // Caller-facing precondition (bad JSON, bad field): the request's fault.
-    return error_response(400, e.what());
+    // Caller-facing precondition (bad JSON, bad field, unknown scenario):
+    // the request's fault.
+    return request_error(e);
   } catch (const std::exception& e) {
     return error_response(500, e.what());
   }

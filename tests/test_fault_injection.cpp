@@ -200,25 +200,24 @@ TEST(FaultSelector, MalformedSelectorsThrow) {
 // several threads, and a routed POST /v1/run, all emit literally the same
 // bytes for the same (scenario, seed, size, trials, fault_profile) tuple.
 TEST(FaultByteIdentity, CliAndServerAgreeAcrossThreadCounts) {
-  server::RunRequest request;
-  request.scenario = "fault-robustness";
-  request.seed = 7;
-  request.size = 12;
-  request.trials = 2;
-  request.fault_profile = "chaos:delay=1,per-mille=300,attempts=2,pieces=2";
+  cli::ScenarioOptions serial;
+  serial.seed = 7;
+  serial.size = 12;
+  serial.trials = 2;
+  serial.faults = "chaos:delay=1,per-mille=300,attempts=2,pieces=2";
 
   exec::VerdictCache serial_cache;
-  exec::ExecContext serial;
-  serial.cache = &serial_cache;
-  const std::string cli_serial = server::run_document(request, serial, nullptr);
+  serial.exec.cache = &serial_cache;
+  const std::string cli_serial =
+      server::run_document("fault-robustness", serial, nullptr);
 
   exec::ThreadPool pool(3);
   exec::VerdictCache parallel_cache;
-  exec::ExecContext parallel;
-  parallel.pool = &pool;
-  parallel.cache = &parallel_cache;
+  cli::ScenarioOptions parallel = serial;
+  parallel.exec.pool = &pool;
+  parallel.exec.cache = &parallel_cache;
   const std::string cli_parallel =
-      server::run_document(request, parallel, nullptr);
+      server::run_document("fault-robustness", parallel, nullptr);
   EXPECT_EQ(cli_serial, cli_parallel);
 
   server::Server srv(server::ServeOptions{});

@@ -276,16 +276,19 @@ TEST(Http, SerializesResponseWithFramingHeaders) {
 // ---------------------------------------------------------------------------
 
 TEST(Api, ParsesRunRequestWithDefaults) {
-  const RunRequest r = parse_run_request(R"({"scenario": "promise-cycle"})");
+  const auto r = parse_run_request(R"({"scenario": "promise-cycle"})");
   EXPECT_EQ(r.scenario, "promise-cycle");
-  EXPECT_EQ(r.seed, 42u);
-  EXPECT_EQ(r.size, 0);
-  EXPECT_EQ(r.trials, 0);
-  const RunRequest full = parse_run_request(
-      R"({"scenario": "x", "seed": 7, "size": 3, "trials": 9})");
-  EXPECT_EQ(full.seed, 7u);
-  EXPECT_EQ(full.size, 3);
-  EXPECT_EQ(full.trials, 9);
+  EXPECT_EQ(r.options.seed, 42u);
+  EXPECT_EQ(r.options.size, 0);
+  EXPECT_EQ(r.options.trials, 0);
+  const auto full = parse_run_request(
+      R"({"scenario": "x", "seed": 7, "size": 3, "trials": 9,
+          "family": "cycle", "fault_profile": "chaos"})");
+  EXPECT_EQ(full.options.seed, 7u);
+  EXPECT_EQ(full.options.size, 3);
+  EXPECT_EQ(full.options.trials, 9);
+  EXPECT_EQ(full.options.family, "cycle");
+  EXPECT_EQ(full.options.faults, "chaos");
 }
 
 TEST(Api, RejectsBadRunRequests) {
@@ -305,10 +308,13 @@ TEST(Api, RejectsBadRunRequests) {
 }
 
 TEST(Api, ParsesSweepRequestSizes) {
-  const SweepRequest r = parse_sweep_request(
+  const auto r = parse_sweep_request(
       R"({"scenario": "promise-cycle", "sizes": [6, 8], "trials": 2})");
-  EXPECT_EQ(r.sizes, (std::vector<int>{6, 8}));
-  EXPECT_EQ(r.trials, 2);
+  EXPECT_EQ(r.scenario, "promise-cycle");
+  EXPECT_EQ(r.options.sizes, (std::vector<int>{6, 8}));
+  EXPECT_EQ(r.options.trials, 2);
+  EXPECT_FALSE(r.options.timing);
+  EXPECT_EQ(r.options.pool, nullptr);
   EXPECT_THROW(parse_sweep_request(R"({"scenario": "x", "sizes": []})"),
                Error);
   EXPECT_THROW(parse_sweep_request(R"({"scenario": "x", "sizes": [-1]})"),
@@ -339,12 +345,10 @@ TEST(Api, VersionDocumentCarriesSchemaAndGraphCore) {
 }
 
 TEST(Api, EveryDocumentCarriesTheSchemaVersion) {
-  RunRequest req;
-  req.scenario = "promise-cycle";
-  exec::ExecContext serial;
   for (const std::string& doc :
        {scenarios_document(), families_document(), version_document(),
-        run_document(req, serial, nullptr), error_document(418, "teapot")}) {
+        run_document("promise-cycle", {}, nullptr),
+        error_document(418, "teapot")}) {
     const JsonValue v = parse_json(doc);
     ASSERT_NE(v.find("schema_version"), nullptr) << doc;
     EXPECT_EQ(v.find("schema_version")->as_integer(), kSchemaVersion);
@@ -352,14 +356,12 @@ TEST(Api, EveryDocumentCarriesTheSchemaVersion) {
 }
 
 TEST(Api, RunDocumentIsDeterministicAndParseable) {
-  RunRequest req;
-  req.scenario = "promise-cycle";
-  req.seed = 7;
-  exec::ExecContext serial;
+  cli::ScenarioOptions serial;
+  serial.seed = 7;
   bool ok1 = false;
   bool ok2 = false;
-  const std::string a = run_document(req, serial, &ok1);
-  const std::string b = run_document(req, serial, &ok2);
+  const std::string a = run_document("promise-cycle", serial, &ok1);
+  const std::string b = run_document("promise-cycle", serial, &ok2);
   EXPECT_EQ(a, b);
   EXPECT_TRUE(ok1);
   EXPECT_TRUE(ok2);
@@ -371,10 +373,42 @@ TEST(Api, RunDocumentIsDeterministicAndParseable) {
 }
 
 TEST(Api, RunDocumentRejectsUnknownScenario) {
-  RunRequest req;
-  req.scenario = "no-such-scenario";
-  exec::ExecContext serial;
-  EXPECT_THROW(run_document(req, serial, nullptr), Error);
+  EXPECT_THROW(run_document("no-such-scenario", {}, nullptr),
+               cli::UnknownScenario);
+}
+
+// ---------------------------------------------------------------------------
+// Scenario resolution: the one check behind `locald run|sweep` and
+// POST /v1/run|/v1/sweep
+// ---------------------------------------------------------------------------
+
+// Which rejection `resolve_scenario` raised: "unknown" (404 / exit 2),
+// "error" (400 / exit 2), or "none".
+std::string rejection(const std::string& name, const std::string& family,
+                      const std::string& faults) {
+  try {
+    cli::resolve_scenario(name, family, faults);
+  } catch (const cli::UnknownScenario&) {
+    return "unknown";
+  } catch (const Error&) {
+    return "error";
+  }
+  return "none";
+}
+
+TEST(ResolveScenario, RejectsUnknownNamesAndUndeclaredSelectors) {
+  EXPECT_EQ(rejection("no-such", "", ""), "unknown");
+  EXPECT_EQ(rejection("no-such", "cycle", ""), "unknown");
+  EXPECT_EQ(rejection("promise-cycle", "cycle", ""), "error");
+  EXPECT_EQ(rejection("table1-matrix", "", "chaos"), "error");
+  EXPECT_EQ(rejection("family-workload", "", "chaos"), "error");
+  EXPECT_EQ(rejection("promise-cycle", "", ""), "none");
+  // table1-matrix declares --family (its A*-agreement instances).
+  EXPECT_EQ(rejection("table1-matrix", "cycle", ""), "none");
+  EXPECT_EQ(rejection("family-workload", "cycle", ""), "none");
+  EXPECT_EQ(rejection("fault-robustness", "torus", "chaos"), "none");
+  EXPECT_EQ(&cli::resolve_scenario("family-workload", "cycle", ""),
+            cli::find_scenario("family-workload"));
 }
 
 // ---------------------------------------------------------------------------
@@ -428,8 +462,48 @@ TEST(Routing, MethodAndPathErrors) {
   EXPECT_EQ(server.handle(make_request("GET", "/nope")).status, 404);
 }
 
+// Selectors the scenario does not declare: promise-cycle takes no family,
+// table1-matrix (which does take one) takes no fault profile.
+constexpr const char* kUndeclaredFamily =
+    R"({"scenario": "promise-cycle", "family": "cycle"})";
+constexpr const char* kUndeclaredFaults =
+    R"({"scenario": "table1-matrix", "fault_profile": "chaos"})";
+
+// The `error` field of an error document.
+std::string error_of(const HttpResponse& r) {
+  const JsonValue doc = parse_json(r.body);
+  const JsonValue* error = doc.find("error");
+  return error == nullptr ? std::string() : error->as_string();
+}
+
+// What `resolve_scenario` says about a request; the HTTP error bodies and
+// the CLI's stderr carry exactly this text.
+std::string resolver_message(const std::string& name,
+                             const std::string& family) {
+  try {
+    cli::resolve_scenario(name, family, "");
+  } catch (const Error& e) {
+    return e.what();
+  }
+  return {};
+}
+
 TEST(Routing, RunRequestErrorsMapToStatuses) {
   Server server{ServeOptions{}};
+  for (const char* path : {"/v1/run", "/v1/sweep"}) {
+    for (const char* body : {kUndeclaredFamily, kUndeclaredFaults}) {
+      const HttpResponse r = server.handle(make_request("POST", path, body));
+      EXPECT_EQ(r.status, 400) << path << " " << body;
+      EXPECT_NE(error_of(r).find("does not take"), std::string::npos)
+          << r.body;
+    }
+    EXPECT_EQ(
+        error_of(server.handle(make_request("POST", path, kUndeclaredFamily))),
+        resolver_message("promise-cycle", "cycle"));
+    EXPECT_EQ(error_of(server.handle(
+                  make_request("POST", path, R"({"scenario": "missing"})"))),
+              resolver_message("missing", ""));
+  }
   EXPECT_EQ(server.handle(make_request("POST", "/v1/run", "{bad")).status,
             400);
   EXPECT_EQ(server
@@ -512,10 +586,7 @@ TEST(ServerSocket, ConcurrentIdenticalRequestsAreByteIdentical) {
   server.start();
 
   // The serial, cache-less reference — what the one-shot CLI would print.
-  RunRequest req;
-  req.scenario = "promise-halting";
-  exec::ExecContext serial;
-  const std::string reference = run_document(req, serial, nullptr);
+  const std::string reference = run_document("promise-halting", {}, nullptr);
 
   const std::string wire =
       post("/v1/run", R"({"scenario": "promise-halting"})");
@@ -629,8 +700,9 @@ TEST(ServerSocket, StreamedSweepChunksReassembleToTheBufferedDocument) {
       R"({"scenario": "promise-cycle", "sizes": [6, 8], "trials": 2, "seed": 7})";
   // The determinism contract's fixed point: the in-process document built
   // with no pool and no cache. Every transport below must reproduce it.
+  const auto request = parse_sweep_request(body);
   const std::string reference =
-      sweep_document(parse_sweep_request(body), nullptr, nullptr);
+      sweep_document(request.scenario, request.options, nullptr);
   ASSERT_FALSE(reference.empty());
 
   for (const int threads : {1, 2}) {
@@ -719,6 +791,12 @@ TEST(ServerSocket, StreamedSweepValidationFailuresAnswerBuffered) {
       request(server.port(), post("/v1/sweep", "{"));
   EXPECT_EQ(malformed.status, 400);
   EXPECT_EQ(malformed.head.find("Transfer-Encoding"), std::string::npos);
+  for (const char* body : {kUndeclaredFamily, kUndeclaredFaults}) {
+    const ClientResponse r = request(server.port(), post("/v1/sweep", body));
+    EXPECT_EQ(r.status, 400) << body;
+    EXPECT_EQ(r.head.find("Transfer-Encoding"), std::string::npos) << body;
+    EXPECT_NE(r.body.find("does not take"), std::string::npos) << r.body;
+  }
   server.stop();
 }
 
