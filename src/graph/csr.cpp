@@ -24,8 +24,8 @@ NodeId CsrSpan::max_degree() const {
   return best;
 }
 
-std::vector<std::pair<NodeId, NodeId>> CsrSpan::edges() const {
-  std::vector<std::pair<NodeId, NodeId>> out;
+EdgeList CsrSpan::edges() const {
+  EdgeList out;
   out.reserve(edge_count());
   for (NodeId u = 0; u < n; ++u) {
     for (NodeId v : neighbors(u)) {
@@ -37,28 +37,11 @@ std::vector<std::pair<NodeId, NodeId>> CsrSpan::edges() const {
   return out;
 }
 
-CsrGraph::CsrGraph(const GraphBuilder& builder) {
-  const NodeId n = builder.node_count();
-  const std::size_t slots = 2 * builder.edge_count();
-  LOCALD_CHECK(slots <= static_cast<std::size_t>(UINT32_MAX),
-               "graph exceeds the 32-bit edge-index capacity");
-  offsets_.resize(static_cast<std::size_t>(n) + 1);
-  adj_.reserve(slots);
-  offsets_[0] = 0;
-  for (NodeId v = 0; v < n; ++v) {
-    const auto& row = builder.neighbors(v);
-    adj_.insert(adj_.end(), row.begin(), row.end());
-    offsets_[static_cast<std::size_t>(v) + 1] =
-        static_cast<EdgeIndex>(adj_.size());
-  }
-}
-
 CsrGraph::CsrGraph(const CsrSpan& span)
     : offsets_(span.offsets, span.offsets + span.n + 1),
       adj_(span.adj, span.adj + (span.n == 0 ? 0 : span.offsets[span.n])) {}
 
-CsrGraph CsrGraph::from_edges(
-    NodeId n, const std::vector<std::pair<NodeId, NodeId>>& edges) {
+CsrGraph CsrGraph::from_edges(NodeId n, const EdgeList& edges) {
   LOCALD_CHECK(n >= 0, "negative node count");
   const std::size_t slots = 2 * edges.size();
   LOCALD_CHECK(slots <= static_cast<std::size_t>(UINT32_MAX),

@@ -2,10 +2,13 @@
 //
 // `CsrGraph` is the read-only topological substrate every hot path walks:
 // two contiguous arrays — `offsets` (n+1 prefix sums) and `adj` (all
-// neighbour rows back to back, each sorted ascending) — replace the
-// builder's vector-of-vectors. Construction happens exactly once, either
-// by freezing a `GraphBuilder` or directly from an edge list
-// (`from_edges`, the fast path for generators at 10^6–10^7 nodes).
+// neighbour rows back to back, each sorted ascending). Every graph locald
+// builds — the family generators, the Section-2 patch instances, the
+// Section-3 G(M, r) graphs and their pyramids, reconstructed and mutated
+// instances — is assembled as an edge list and frozen once by
+// `CsrGraph::from_edges`: one counting pass, one scatter pass, row sorts,
+// and the loop / range / duplicate checks. The only other constructors are
+// the empty graph and the deep copy of a span.
 //
 // `CsrSpan` is the non-owning view {n, offsets, adj} shared by whole
 // graphs and ball slices (graph/ball_slice.h): the canonicalization
@@ -17,10 +20,16 @@
 #include <utility>
 #include <vector>
 
-#include "graph/graph.h"
 #include "support/check.h"
 
 namespace locald::graph {
+
+// Nodes are dense integers [0, node_count()).
+using NodeId = std::int32_t;
+
+// Undirected edges {u, v}, in any order and orientation: the input of
+// CsrGraph::from_edges.
+using EdgeList = std::vector<std::pair<NodeId, NodeId>>;
 
 // Index into the flat adjacency array. 2^32 directed edge slots cap the
 // graph at ~2.1e9 undirected edges — far above the 10^7-node bench grid.
@@ -87,7 +96,7 @@ struct CsrSpan {
   NodeId max_degree() const;
 
   // Deterministic edge list (u < v, lexicographic).
-  std::vector<std::pair<NodeId, NodeId>> edges() const;
+  EdgeList edges() const;
 
   void check_node(NodeId v) const {
     LOCALD_CHECK(v >= 0 && v < n, "node id out of range");
@@ -99,18 +108,14 @@ class CsrGraph {
  public:
   CsrGraph() : offsets_(1, 0) {}
 
-  // Freezes a finished builder. (GraphBuilder::build() forwards here.)
-  explicit CsrGraph(const GraphBuilder& builder);
-
   // Deep copy of a span (used to lift a scratch-backed ball slice into an
   // owning Ball).
   explicit CsrGraph(const CsrSpan& span);
 
-  // Builds directly from an undirected edge list (u != v, ids in [0, n));
-  // duplicates are rejected. One counting pass + one scatter pass + row
-  // sorts — the generator fast path.
-  static CsrGraph from_edges(NodeId n,
-                             const std::vector<std::pair<NodeId, NodeId>>& edges);
+  // Builds from an undirected edge list (u != v, ids in [0, n)); loops,
+  // out-of-range ids and duplicates ({u, v} twice, in either orientation)
+  // are rejected. One counting pass + one scatter pass + row sorts.
+  static CsrGraph from_edges(NodeId n, const EdgeList& edges);
 
   NodeId node_count() const {
     return static_cast<NodeId>(offsets_.size()) - 1;
@@ -121,7 +126,7 @@ class CsrGraph {
   NeighborSpan neighbors(NodeId v) const { return span().neighbors(v); }
   bool has_edge(NodeId u, NodeId v) const { return span().has_edge(u, v); }
   NodeId max_degree() const { return span().max_degree(); }
-  std::vector<std::pair<NodeId, NodeId>> edges() const {
+  EdgeList edges() const {
     return span().edges();
   }
 

@@ -1,18 +1,14 @@
 #include "graph/generators.h"
 
+#include <algorithm>
 #include <bit>
+#include <set>
 #include <utility>
 #include <vector>
 
 #include "support/format.h"
 
 namespace locald::graph {
-
-namespace {
-
-using EdgeList = std::vector<std::pair<NodeId, NodeId>>;
-
-}  // namespace
 
 CsrGraph make_path(NodeId n) {
   LOCALD_CHECK(n >= 1, "path needs at least one node");
@@ -244,30 +240,31 @@ CsrGraph make_random_tree(NodeId n, std::uint64_t seed) {
 CsrGraph make_random_connected(NodeId n, NodeId extra_edges,
                                std::uint64_t seed) {
   LOCALD_CHECK(n >= 1, "tree needs at least one node");
-  // Chord insertion needs duplicate detection, so this builder goes through
-  // the mutable stage; connected instances stay small (the registry caps
-  // chord counts), so the per-edge sorted inserts are irrelevant here.
-  GraphBuilder g(n);
+  EdgeList edges;
+  std::set<std::pair<NodeId, NodeId>> present;
   for (NodeId v = 1; v < n; ++v) {
     Rng draw =
         Rng::stream(seed, kStreamRandomTree, static_cast<std::uint64_t>(v));
-    g.add_edge(static_cast<NodeId>(draw.below(static_cast<std::uint64_t>(v))),
-               v);
+    const NodeId parent =
+        static_cast<NodeId>(draw.below(static_cast<std::uint64_t>(v)));
+    edges.emplace_back(parent, v);
+    present.emplace(parent, v);
   }
   const std::size_t max_edges = static_cast<std::size_t>(n) * (n - 1) / 2;
   NodeId added = 0;
   std::size_t attempts = 0;
-  while (added < extra_edges && g.edge_count() < max_edges &&
+  while (added < extra_edges && edges.size() < max_edges &&
          attempts < 64 * static_cast<std::size_t>(extra_edges) + 64) {
     Rng draw = Rng::stream(seed, kStreamRandomChords, attempts);
     ++attempts;
     const NodeId u = static_cast<NodeId>(draw.below(n));
     const NodeId v = static_cast<NodeId>(draw.below(n));
-    if (u != v && g.add_edge_if_absent(u, v)) {
+    if (u != v && present.insert(std::minmax(u, v)).second) {
+      edges.emplace_back(u, v);
       ++added;
     }
   }
-  return g.build();
+  return CsrGraph::from_edges(n, edges);
 }
 
 CsrGraph make_random_regular(NodeId n, NodeId d, std::uint64_t seed) {
@@ -278,12 +275,16 @@ CsrGraph make_random_regular(NodeId n, NodeId d, std::uint64_t seed) {
   if (d == 0) {
     return CsrGraph::from_edges(n, {});
   }
-  std::vector<NodeId> stubs(static_cast<std::size_t>(n) * d);
-  for (NodeId v = 0; v < n; ++v) {
-    for (NodeId k = 0; k < d; ++k) {
-      stubs[static_cast<std::size_t>(v) * d + k] = v;
-    }
-  }
+  const std::size_t stubs = static_cast<std::size_t>(n) * d;
+  // One deck and one partner table serve every round: node v's partners
+  // so far sit in partners[v*d, v*d + filled[v]), at most d of them, so a
+  // repeated pair is found by scanning d slots instead of a sorted insert.
+  std::vector<NodeId> deck(stubs);
+  std::vector<NodeId> partners(stubs);
+  std::vector<NodeId> filled(static_cast<std::size_t>(n));
+  auto row = [&](NodeId v) {
+    return partners.data() + static_cast<std::size_t>(v) * d;
+  };
   // Rejection sampling over whole pairings keeps the accepted pairing
   // uniform over simple ones. The per-round acceptance probability is
   // ~exp(-(d*d - 1)/4) — about 0.25% at d = 5, vanishing fast beyond it
@@ -293,17 +294,32 @@ CsrGraph make_random_regular(NodeId n, NodeId d, std::uint64_t seed) {
   constexpr std::uint64_t kMaxRounds = 20000;
   for (std::uint64_t round = 0; round < kMaxRounds; ++round) {
     Rng rng = Rng::stream(seed, kStreamRandomRegular, round);
-    std::vector<NodeId> deck = stubs;
+    // Each round shuffles the same starting deck: d stubs per node, in
+    // node order.
+    for (NodeId v = 0; v < n; ++v) {
+      std::fill_n(deck.begin() + static_cast<std::ptrdiff_t>(v) * d, d, v);
+    }
     rng.shuffle(deck);
-    GraphBuilder g(n);
+    std::fill(filled.begin(), filled.end(), 0);
     bool simple = true;
-    for (std::size_t i = 0; simple && i < deck.size(); i += 2) {
+    for (std::size_t i = 0; simple && i < stubs; i += 2) {
       const NodeId u = deck[i];
       const NodeId v = deck[i + 1];
-      simple = u != v && g.add_edge_if_absent(u, v);
+      NodeId& filled_u = filled[static_cast<std::size_t>(u)];
+      simple = u != v &&
+               std::find(row(u), row(u) + filled_u, v) == row(u) + filled_u;
+      if (simple) {
+        row(u)[filled_u++] = v;
+        row(v)[filled[static_cast<std::size_t>(v)]++] = u;
+      }
     }
     if (simple) {
-      return g.build();
+      EdgeList edges;
+      edges.reserve(stubs / 2);
+      for (std::size_t i = 0; i < stubs; i += 2) {
+        edges.emplace_back(deck[i], deck[i + 1]);
+      }
+      return CsrGraph::from_edges(n, edges);
     }
   }
   throw Error(cat("no simple ", d, "-regular pairing found for n = ", n,

@@ -5,9 +5,9 @@
 // binary / layered trees for the Section-2 construction, plus generic
 // families used by tests, benchmarks, and the gen/ workload generator.
 //
-// Every builder returns an immutable `CsrGraph`, assembled through the
-// edge-list fast path (`CsrGraph::from_edges`) — one counting pass and one
-// scatter pass instead of per-edge sorted inserts, which is what makes the
+// Every builder emits an edge list and returns the immutable `CsrGraph`
+// that `CsrGraph::from_edges` freezes from it — one counting pass and one
+// scatter pass, no per-edge sorted inserts, which is what makes the
 // 10^6–10^7-node bench cells build in milliseconds.
 //
 // Randomized builders are seed-based (`std::uint64_t seed`): every random

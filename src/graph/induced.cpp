@@ -14,7 +14,7 @@ InducedSubgraph induced_subgraph(CsrSpan g, const std::vector<NodeId>& nodes) {
         out.from_parent.emplace(host, static_cast<NodeId>(i)).second;
     LOCALD_CHECK(fresh, "induced node list contains a duplicate");
   }
-  std::vector<std::pair<NodeId, NodeId>> edges;
+  EdgeList edges;
   for (std::size_t i = 0; i < nodes.size(); ++i) {
     for (NodeId w : g.neighbors(nodes[i])) {
       auto it = out.from_parent.find(w);

@@ -41,20 +41,18 @@ std::string to_edge_list(const CsrGraph& g) {
 
 CsrGraph from_edge_list(const std::string& text, NodeId min_nodes) {
   std::istringstream is(text);
-  std::vector<std::pair<NodeId, NodeId>> edges;
+  EdgeList edges;
   NodeId max_id = min_nodes - 1;
-  NodeId u = 0;
-  NodeId v = 0;
-  while (is >> u >> v) {
+  while (!(is >> std::ws).eof()) {
+    NodeId u = 0;
+    NodeId v = 0;
+    LOCALD_CHECK(is >> u >> v,
+                 "malformed edge list: expected \"u v\" id pairs");
     LOCALD_CHECK(u >= 0 && v >= 0, "edge list ids must be non-negative");
     edges.emplace_back(u, v);
     max_id = std::max({max_id, u, v});
   }
-  GraphBuilder g(max_id + 1);
-  for (const auto& [a, b] : edges) {
-    g.add_edge_if_absent(a, b);
-  }
-  return g.build();
+  return CsrGraph::from_edges(max_id + 1, edges);
 }
 
 }  // namespace locald::graph

@@ -24,7 +24,10 @@ std::string to_dot(const CsrGraph& g, const std::string& name = "G");
 std::string to_edge_list(const CsrGraph& g);
 
 // Inverse of to_edge_list; node count inferred as max id + 1 unless
-// `min_nodes` asks for more.
+// `min_nodes` asks for more. Throws Error unless the whole text is "u v"
+// pairs of non-negative ids forming a simple graph: a stray or partial
+// token, a loop, or an edge listed twice (in either orientation) is
+// rejected, never truncated or merged.
 CsrGraph from_edge_list(const std::string& text, NodeId min_nodes = 0);
 
 }  // namespace locald::graph

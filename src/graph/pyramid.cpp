@@ -38,74 +38,50 @@ PyramidIndexer::Position PyramidIndexer::position(NodeId v) const {
 }
 
 CsrGraph build_pyramid(const PyramidIndexer& indexer) {
-  std::vector<std::pair<NodeId, NodeId>> edges;
+  EdgeList edges;
   edges.reserve(3 * static_cast<std::size_t>(indexer.node_count()));
-  for (int z = 0; z <= indexer.height(); ++z) {
-    const int s = indexer.side(z);
-    for (int y = 0; y < s; ++y) {
-      for (int x = 0; x < s; ++x) {
-        const NodeId v = indexer.id(x, y, z);
-        if (x + 1 < s) {
-          edges.emplace_back(v, indexer.id(x + 1, y, z));
-        }
-        if (y + 1 < s) {
-          edges.emplace_back(v, indexer.id(x, y + 1, z));
-        }
-        if (z < indexer.height()) {
-          edges.emplace_back(v, indexer.id(x / 2, y / 2, z + 1));
-        }
+  const int s = indexer.side(0);
+  for (int y = 0; y < s; ++y) {
+    for (int x = 0; x < s; ++x) {
+      if (x + 1 < s) {
+        edges.emplace_back(indexer.id(x, y, 0), indexer.id(x + 1, y, 0));
+      }
+      if (y + 1 < s) {
+        edges.emplace_back(indexer.id(x, y, 0), indexer.id(x, y + 1, 0));
       }
     }
   }
+  attach_pyramid(edges, s * s, indexer,
+                 [&](int x, int y) { return indexer.id(x, y, 0); });
   return CsrGraph::from_edges(indexer.node_count(), edges);
 }
 
 CsrGraph make_pyramid(int h) { return build_pyramid(PyramidIndexer(h)); }
 
-NodeId attach_pyramid(GraphBuilder& g, const PyramidIndexer& indexer,
+NodeId attach_pyramid(EdgeList& edges, NodeId first,
+                      const PyramidIndexer& indexer,
                       const std::function<NodeId(int, int)>& base) {
-  const NodeId first = g.node_count();
-  // Ids of upper-level nodes, allocated level by level.
-  std::vector<std::vector<NodeId>> level_ids(
-      static_cast<std::size_t>(indexer.height()) + 1);
-  for (int z = 1; z <= indexer.height(); ++z) {
-    const int s = indexer.side(z);
-    auto& ids = level_ids[static_cast<std::size_t>(z)];
-    ids.resize(static_cast<std::size_t>(s) * s);
-    for (int y = 0; y < s; ++y) {
-      for (int x = 0; x < s; ++x) {
-        ids[static_cast<std::size_t>(y) * s + x] = g.add_node();
-      }
-    }
-  }
+  // Upper-level node (x, y, z) takes the id `first` plus its offset past
+  // level 0 in the indexer's level-by-level, row-major order.
+  const NodeId base_cells =
+      static_cast<NodeId>(indexer.side(0)) * indexer.side(0);
   auto node_at = [&](int x, int y, int z) {
-    if (z == 0) {
-      return base(x, y);
-    }
-    const int s = indexer.side(z);
-    return level_ids[static_cast<std::size_t>(z)]
-                    [static_cast<std::size_t>(y) * s + x];
+    return z == 0 ? base(x, y) : first - base_cells + indexer.id(x, y, z);
   };
-  for (int z = 1; z <= indexer.height(); ++z) {
+  for (int z = 0; z <= indexer.height(); ++z) {
     const int s = indexer.side(z);
     for (int y = 0; y < s; ++y) {
       for (int x = 0; x < s; ++x) {
         const NodeId v = node_at(x, y, z);
-        if (x + 1 < s) {
-          g.add_edge(v, node_at(x + 1, y, z));
+        if (z > 0 && x + 1 < s) {
+          edges.emplace_back(v, node_at(x + 1, y, z));
         }
-        if (y + 1 < s) {
-          g.add_edge(v, node_at(x, y + 1, z));
+        if (z > 0 && y + 1 < s) {
+          edges.emplace_back(v, node_at(x, y + 1, z));
         }
-      }
-    }
-  }
-  // Parent edges for every level including 0.
-  for (int z = 0; z < indexer.height(); ++z) {
-    const int s = indexer.side(z);
-    for (int y = 0; y < s; ++y) {
-      for (int x = 0; x < s; ++x) {
-        g.add_edge(node_at(x, y, z), node_at(x / 2, y / 2, z + 1));
+        if (z < indexer.height()) {
+          edges.emplace_back(v, node_at(x / 2, y / 2, z + 1));
+        }
       }
     }
   }

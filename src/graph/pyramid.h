@@ -53,9 +53,11 @@ CsrGraph build_pyramid(const PyramidIndexer& indexer);
 CsrGraph make_pyramid(int h);
 
 // Adds pyramid levels 1..h on top of an existing 2^h x 2^h level-0 grid
-// already present in `g` (node (x, y) at id base(x, y)). Returns the id of
-// the first added node.
-NodeId attach_pyramid(GraphBuilder& g, const PyramidIndexer& indexer,
+// (node (x, y) at id base(x, y)): appends their grid and parent edges to
+// `edges`. The indexer.node_count() - side(0)^2 added nodes take the ids
+// first, first + 1, ... level by level in row-major order. Returns `first`.
+NodeId attach_pyramid(EdgeList& edges, NodeId first,
+                      const PyramidIndexer& indexer,
                       const std::function<NodeId(int, int)>& base);
 
 // Exact structural oracle: is `g` the pyramid over a 2^h x 2^h grid?

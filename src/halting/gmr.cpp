@@ -1,6 +1,7 @@
 #include "halting/gmr.h"
 
 #include <algorithm>
+#include <functional>
 #include <map>
 
 #include "graph/pyramid.h"
@@ -95,49 +96,57 @@ GmrInstance assemble_gmr(const tm::TuringMachine& m, int r,
   out.exact_fragment_count = collection.exact_count;
   out.fragments_exhaustive = collection.exhaustive;
 
-  graph::GraphBuilder g;
+  // Node ids are dense in creation order: the next id is labels.size().
+  graph::EdgeList edges;
   std::vector<local::Label> labels;
+  auto next_id = [&labels] {
+    return static_cast<graph::NodeId>(labels.size());
+  };
+  // The edges of a labelled grid_side x grid_side grid with cell ids
+  // id(x, y) and, in pyramidal mode, its pyramid levels 1..h
+  // (grid_side = 2^h) with their labels.
+  auto add_grid = [&](int grid_side,
+                      const std::function<graph::NodeId(int, int)>& id) {
+    for (int y = 0; y < grid_side; ++y) {
+      for (int x = 0; x < grid_side; ++x) {
+        if (x + 1 < grid_side) {
+          edges.emplace_back(id(x, y), id(x + 1, y));
+        }
+        if (y + 1 < grid_side) {
+          edges.emplace_back(id(x, y), id(x, y + 1));
+        }
+      }
+    }
+    if (!pyramidal) {
+      return;
+    }
+    int h = 0;
+    while ((1 << h) < grid_side) ++h;
+    const PyramidIndexer indexer(h);
+    const graph::NodeId first = attach_pyramid(edges, next_id(), indexer, id);
+    const graph::NodeId added = indexer.node_count() - grid_side * grid_side;
+    labels.resize(static_cast<std::size_t>(first + added), pyramid_label(m, r));
+  };
+
   // Table cells: id = y * side + x.
   const int side = table.width();
   for (int y = 0; y < side; ++y) {
     for (int x = 0; x < side; ++x) {
-      g.add_node();
       labels.push_back(cell_label(m, r, x, y, table.cell(x, y)));
     }
   }
   auto table_id = [side](int x, int y) {
     return static_cast<graph::NodeId>(y * side + x);
   };
-  for (int y = 0; y < side; ++y) {
-    for (int x = 0; x < side; ++x) {
-      if (x + 1 < side) {
-        g.add_edge(table_id(x, y), table_id(x + 1, y));
-      }
-      if (y + 1 < side) {
-        g.add_edge(table_id(x, y), table_id(x, y + 1));
-      }
-    }
-  }
+  add_grid(side, table_id);
   out.pivot = table_id(0, 0);
-
-  if (pyramidal) {
-    int h = 0;
-    while ((1 << h) < side) ++h;
-    const PyramidIndexer indexer(h);
-    const graph::NodeId first =
-        attach_pyramid(g, indexer, [&](int x, int y) { return table_id(x, y); });
-    for (graph::NodeId v = first; v < g.node_count(); ++v) {
-      labels.push_back(pyramid_label(m, r));
-    }
-  }
 
   // Fragments: k x k grids, glued borders wired to the pivot.
   const int k = collection.size;
   for (const tm::Fragment& f : collection.fragments) {
-    const graph::NodeId base = g.node_count();
+    const graph::NodeId base = next_id();
     for (int y = 0; y < k; ++y) {
       for (int x = 0; x < k; ++x) {
-        g.add_node();
         labels.push_back(
             cell_label(m, r, x, y, f.cell(x, y), kRoleFragmentCell));
       }
@@ -145,32 +154,14 @@ GmrInstance assemble_gmr(const tm::TuringMachine& m, int r,
     auto frag_id = [base, k](int x, int y) {
       return base + static_cast<graph::NodeId>(y * k + x);
     };
-    for (int y = 0; y < k; ++y) {
-      for (int x = 0; x < k; ++x) {
-        if (x + 1 < k) {
-          g.add_edge(frag_id(x, y), frag_id(x + 1, y));
-        }
-        if (y + 1 < k) {
-          g.add_edge(frag_id(x, y), frag_id(x, y + 1));
-        }
-      }
-    }
-    if (pyramidal) {
-      int fh = 0;
-      while ((1 << fh) < k) ++fh;
-      const PyramidIndexer indexer(fh);
-      const graph::NodeId first = attach_pyramid(
-          g, indexer, [&](int x, int y) { return frag_id(x, y); });
-      for (graph::NodeId v = first; v < g.node_count(); ++v) {
-        labels.push_back(pyramid_label(m, r));
-      }
-    }
+    add_grid(k, frag_id);
     for (const auto& [x, y] : f.glued_border_cells()) {
-      g.add_edge(out.pivot, frag_id(x, y));
+      edges.emplace_back(out.pivot, frag_id(x, y));
     }
   }
 
-  out.graph = local::LabeledGraph(g.build(), std::move(labels));
+  graph::CsrGraph g = graph::CsrGraph::from_edges(next_id(), edges);
+  out.graph = local::LabeledGraph(std::move(g), std::move(labels));
   return out;
 }
 

@@ -1,6 +1,5 @@
 #include "local/fault_profile.h"
 
-#include "graph/graph.h"
 #include "support/check.h"
 #include "support/format.h"
 
@@ -230,12 +229,10 @@ LabeledGraph mutate_add_edge(const LabeledGraph& g, Rng& rng) {
     const graph::NodeId v =
         static_cast<graph::NodeId>(rng.below(g.node_count()));
     if (u != v && !g.graph().has_edge(u, v)) {
-      graph::GraphBuilder builder(g.node_count());
-      for (const auto& [a, b] : g.graph().edges()) {
-        builder.add_edge(a, b);
-      }
-      builder.add_edge(u, v);
-      return LabeledGraph(builder.build(), g.labels());
+      graph::EdgeList edges = g.graph().edges();
+      edges.emplace_back(u, v);
+      return LabeledGraph(graph::CsrGraph::from_edges(g.node_count(), edges),
+                          g.labels());
     }
   }
   return g;

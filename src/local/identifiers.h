@@ -12,7 +12,7 @@
 #include <string>
 #include <vector>
 
-#include "graph/graph.h"
+#include "graph/csr.h"
 #include "support/rng.h"
 
 namespace locald::local {

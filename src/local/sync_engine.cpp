@@ -4,7 +4,6 @@
 #include <sstream>
 
 #include "graph/csr.h"
-#include "graph/graph.h"
 #include "local/event_engine.h"
 #include "support/check.h"
 
@@ -145,22 +144,28 @@ Ball ball_from_knowledge(Id self, const Knowledge& k, int radius) {
     index[order[i]] = static_cast<graph::NodeId>(i);
   }
   Ball ball;
-  graph::GraphBuilder builder(static_cast<graph::NodeId>(order.size()));
   ball.radius = radius;
   ball.center = index.at(self);
   std::vector<Id> ball_ids;
+  // Under message loss an edge may be known from one endpoint only, so the
+  // ball's edges are the union of both endpoints' reports.
+  graph::EdgeList edges;
   for (const Id u : order) {
     const KnownNode& node = k.at(u);
     ball.labels.push_back(node.label);
     ball_ids.push_back(u);
+    const graph::NodeId iu = index.at(u);
     for (Id w : node.adj) {
       auto it = index.find(w);
       if (it != index.end()) {
-        builder.add_edge_if_absent(index.at(u), it->second);
+        edges.push_back(std::minmax(iu, it->second));
       }
     }
   }
-  ball.g = builder.build();
+  std::sort(edges.begin(), edges.end());
+  edges.erase(std::unique(edges.begin(), edges.end()), edges.end());
+  ball.g = graph::CsrGraph::from_edges(
+      static_cast<graph::NodeId>(order.size()), edges);
   ball.ids = std::move(ball_ids);
   // to_host is unknown to a message-passing node; leave empty.
   return ball;

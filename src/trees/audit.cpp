@@ -36,7 +36,7 @@ local::Ball ball_in_T(const TreeParams& p, int depth, graph::NodeId v) {
                ? static_cast<graph::NodeId>(it - members.begin())
                : graph::NodeId{-1};
   };
-  std::vector<std::pair<graph::NodeId, graph::NodeId>> edges;
+  graph::EdgeList edges;
   std::vector<local::Label> labels;
   for (graph::NodeId a = 0; a < static_cast<graph::NodeId>(members.size());
        ++a) {

@@ -151,14 +151,14 @@ local::LabeledGraph build_T(const TreeParams& p) {
 local::LabeledGraph build_patch_instance(const TreeParams& p, const Patch& h) {
   LOCALD_CHECK(h.valid(p), "invalid patch");
   const Coord R = p.capital_R();
+  // Node ids are dense in creation order: the next id is labels.size().
   std::map<CoordPair, graph::NodeId> index;
-  graph::GraphBuilder g;
+  graph::EdgeList edges;
   std::vector<local::Label> labels;
   for (int j = 0; j <= h.r; ++j) {
     const Coord y = h.y0 + j;
     for (Coord x = h.left(j); x <= h.right(j); ++x) {
-      const graph::NodeId v = g.add_node();
-      index[{x, y}] = v;
+      index[{x, y}] = static_cast<graph::NodeId>(labels.size());
       labels.push_back(tree_label(p.r, x, y));
     }
   }
@@ -167,19 +167,21 @@ local::LabeledGraph build_patch_instance(const TreeParams& p, const Patch& h) {
       const auto it = index.find(c);
       LOCALD_ASSERT(it != index.end(), "patch neighbour not indexed");
       if (v < it->second) {
-        g.add_edge(v, it->second);
+        edges.emplace_back(v, it->second);
       }
     }
   }
-  const graph::NodeId pivot = g.add_node();
+  const auto pivot = static_cast<graph::NodeId>(labels.size());
   labels.push_back(pivot_label(p.r));
   const auto border = expected_border(h, R);
   LOCALD_CHECK(!border.empty(),
                "patch has no border: the pivot would be disconnected");
   for (const CoordPair& c : border) {
-    g.add_edge(pivot, index.at(c));
+    edges.emplace_back(pivot, index.at(c));
   }
-  return local::LabeledGraph(g.build(), std::move(labels));
+  const auto n = static_cast<graph::NodeId>(labels.size());
+  return local::LabeledGraph(graph::CsrGraph::from_edges(n, edges),
+                             std::move(labels));
 }
 
 std::optional<Patch> witness_patch(const TreeParams& p, Coord x, Coord y) {

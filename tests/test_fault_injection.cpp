@@ -10,8 +10,8 @@
 // agreement requirement handles them uniformly.
 #include <gtest/gtest.h>
 
+#include "graph/csr.h"
 #include "graph/generators.h"
-#include "graph/graph.h"
 #include "halting/gmr.h"
 #include "halting/verifier.h"
 #include "local/fault_profile.h"

@@ -14,68 +14,43 @@
 namespace locald::graph {
 namespace {
 
-TEST(GraphBuilder, StartsEmpty) {
-  GraphBuilder g;
+TEST(FromEdges, DefaultGraphIsEmpty) {
+  const CsrGraph g;
   EXPECT_EQ(g.node_count(), 0);
   EXPECT_EQ(g.edge_count(), 0u);
 }
 
-TEST(GraphBuilder, AddNodeGrowsSequentially) {
-  GraphBuilder g;
-  EXPECT_EQ(g.add_node(), 0);
-  EXPECT_EQ(g.add_node(), 1);
-  EXPECT_EQ(g.node_count(), 2);
-}
-
-TEST(GraphBuilder, AddEdgeIsSymmetric) {
-  GraphBuilder g(3);
-  g.add_edge(0, 2);
+TEST(FromEdges, EdgesAreSymmetric) {
+  const CsrGraph g = CsrGraph::from_edges(3, {{0, 2}});
   EXPECT_TRUE(g.has_edge(0, 2));
   EXPECT_TRUE(g.has_edge(2, 0));
   EXPECT_FALSE(g.has_edge(0, 1));
   EXPECT_EQ(g.edge_count(), 1u);
 }
 
-TEST(GraphBuilder, NeighborsSortedAscending) {
-  GraphBuilder g(5);
-  g.add_edge(2, 4);
-  g.add_edge(2, 0);
-  g.add_edge(2, 3);
+TEST(FromEdges, NeighborsSortedAscending) {
+  const CsrGraph g = CsrGraph::from_edges(5, {{2, 4}, {2, 0}, {2, 3}});
   const std::vector<NodeId> expected{0, 3, 4};
-  EXPECT_EQ(g.neighbors(2), expected);
+  EXPECT_EQ(g.neighbors(2).to_vector(), expected);
 }
 
-TEST(GraphBuilder, RejectsSelfLoop) {
-  GraphBuilder g(2);
-  EXPECT_THROW(g.add_edge(1, 1), Error);
+TEST(FromEdges, RejectsSelfLoop) {
+  EXPECT_THROW(CsrGraph::from_edges(2, {{1, 1}}), Error);
 }
 
-TEST(GraphBuilder, RejectsDuplicateEdge) {
-  GraphBuilder g(2);
-  g.add_edge(0, 1);
-  EXPECT_THROW(g.add_edge(1, 0), Error);
-  EXPECT_FALSE(g.add_edge_if_absent(0, 1));
-  EXPECT_EQ(g.edge_count(), 1u);
+TEST(FromEdges, RejectsDuplicateEdge) {
+  EXPECT_THROW(CsrGraph::from_edges(2, {{0, 1}, {0, 1}}), Error);
+  EXPECT_THROW(CsrGraph::from_edges(2, {{0, 1}, {1, 0}}), Error);
 }
 
-TEST(GraphBuilder, RejectsOutOfRangeNode) {
-  GraphBuilder g(2);
-  EXPECT_THROW(g.add_edge(0, 2), Error);
-  EXPECT_THROW(g.degree(-1), Error);
+TEST(FromEdges, RejectsOutOfRangeNode) {
+  EXPECT_THROW(CsrGraph::from_edges(2, {{0, 2}}), Error);
+  EXPECT_THROW(CsrGraph::from_edges(2, {{-1, 0}}), Error);
+  EXPECT_THROW(CsrGraph::from_edges(2, {}).degree(-1), Error);
 }
 
-TEST(GraphBuilder, ResizeNeverShrinks) {
-  GraphBuilder g(3);
-  EXPECT_THROW(g.resize(2), Error);
-  g.resize(5);
-  EXPECT_EQ(g.node_count(), 5);
-}
-
-TEST(GraphBuilder, EdgesDeterministicOrder) {
-  GraphBuilder g(4);
-  g.add_edge(3, 1);
-  g.add_edge(0, 2);
-  g.add_edge(0, 1);
+TEST(FromEdges, EdgesDeterministicOrder) {
+  const CsrGraph g = CsrGraph::from_edges(4, {{3, 1}, {0, 2}, {0, 1}});
   const std::vector<std::pair<NodeId, NodeId>> expected{
       {0, 1}, {0, 2}, {1, 3}};
   EXPECT_EQ(g.edges(), expected);
@@ -117,10 +92,7 @@ TEST(Algorithms, NodesWithinMatchesBfs) {
 }
 
 TEST(Algorithms, ConnectivityAndComponents) {
-  GraphBuilder b(5);
-  b.add_edge(0, 1);
-  b.add_edge(2, 3);
-  const CsrGraph g = b.build();
+  const CsrGraph g = CsrGraph::from_edges(5, {{0, 1}, {2, 3}});
   EXPECT_FALSE(is_connected(g));
   int count = 0;
   const auto comp = connected_components(g, &count);
@@ -161,9 +133,8 @@ TEST(Algorithms, ShortestPathEndpointsAndLength) {
 }
 
 TEST(Algorithms, ShortestPathUnreachable) {
-  GraphBuilder b(3);
-  b.add_edge(0, 1);
-  EXPECT_FALSE(shortest_path(b.build(), 0, 2).has_value());
+  EXPECT_FALSE(
+      shortest_path(CsrGraph::from_edges(3, {{0, 1}}), 0, 2).has_value());
 }
 
 TEST(Algorithms, TopologyRecognizers) {
@@ -284,6 +255,28 @@ TEST(Io, EdgeListRoundTrip) {
   const CsrGraph g = make_random_connected(25, 12, 123);
   const CsrGraph h = from_edge_list(to_edge_list(g));
   EXPECT_EQ(g, h);
+}
+
+TEST(Io, EdgeListKeepsIsolatedNodesViaMinNodes) {
+  EXPECT_EQ(from_edge_list("").node_count(), 0);
+  const CsrGraph g = from_edge_list("0 1\n", 4);
+  EXPECT_EQ(g.node_count(), 4);
+  EXPECT_EQ(g.edge_count(), 1u);
+}
+
+TEST(Io, EdgeListRejectsMalformedText) {
+  // A bad token mid-file used to end the parse silently at "0 1".
+  EXPECT_THROW(from_edge_list("0 1\n1 x\n2 3"), Error);
+  // A dangling id used to be dropped.
+  EXPECT_THROW(from_edge_list("0 1\n2"), Error);
+  EXPECT_THROW(from_edge_list("0 1.5\n"), Error);
+  EXPECT_THROW(from_edge_list("0 -1\n"), Error);
+}
+
+TEST(Io, EdgeListRejectsWhatToEdgeListNeverEmits) {
+  EXPECT_THROW(from_edge_list("0 1\n0 1\n"), Error);  // duplicate
+  EXPECT_THROW(from_edge_list("0 1\n1 0\n"), Error);  // reversed duplicate
+  EXPECT_THROW(from_edge_list("2 2\n"), Error);        // loop
 }
 
 TEST(Io, DotContainsNodesAndEdges) {

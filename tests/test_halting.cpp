@@ -70,28 +70,32 @@ TEST(Pyramid, BuildStructure) {
   EXPECT_TRUE(is_pyramid(g, 2));
   EXPECT_FALSE(is_pyramid(g, 3));
   // A mutation breaks it.
-  graph::GraphBuilder hb(g.node_count());
-  for (const auto& [u, v] : g.edges()) {
-    hb.add_edge(u, v);
-  }
-  hb.add_edge(idx.id(0, 0, 0), idx.id(3, 3, 0));
-  EXPECT_FALSE(is_pyramid(hb.build(), 2));
+  graph::EdgeList mutated = g.edges();
+  mutated.emplace_back(idx.id(0, 0, 0), idx.id(3, 3, 0));
+  EXPECT_FALSE(
+      is_pyramid(graph::CsrGraph::from_edges(g.node_count(), mutated), 2));
 }
 
 TEST(Pyramid, AttachOverExistingGrid) {
-  graph::GraphBuilder g(16);  // 4x4 grid nodes 0..15
+  graph::EdgeList edges;  // 4x4 grid nodes 0..15
   for (int y = 0; y < 4; ++y) {
     for (int x = 0; x < 4; ++x) {
-      if (x + 1 < 4) g.add_edge(y * 4 + x, y * 4 + x + 1);
-      if (y + 1 < 4) g.add_edge(y * 4 + x, (y + 1) * 4 + x);
+      if (x + 1 < 4) edges.emplace_back(y * 4 + x, y * 4 + x + 1);
+      if (y + 1 < 4) edges.emplace_back(y * 4 + x, (y + 1) * 4 + x);
     }
   }
+  const std::size_t grid_edges = edges.size();
   const PyramidIndexer idx(2);
   const graph::NodeId first = attach_pyramid(
-      g, idx, [](int x, int y) { return static_cast<graph::NodeId>(y * 4 + x); });
+      edges, 16, idx,
+      [](int x, int y) { return static_cast<graph::NodeId>(y * 4 + x); });
   EXPECT_EQ(first, 16);
-  EXPECT_EQ(g.node_count(), 21);
-  EXPECT_TRUE(is_pyramid(g.build(), 2));
+  // 2x2 level: 4 grid + 4 parent edges; base: 16 parent edges.
+  EXPECT_EQ(edges.size(), grid_edges + 4 + 4 + 16);
+  for (std::size_t i = grid_edges; i < edges.size(); ++i) {
+    EXPECT_LT(std::max(edges[i].first, edges[i].second), 21);
+  }
+  EXPECT_TRUE(is_pyramid(graph::CsrGraph::from_edges(21, edges), 2));
 }
 
 TEST(Gmr, LabelRoundTrip) {
@@ -390,10 +394,6 @@ TEST(Verifier, ConcurrentEvaluationMatchesSerial) {
   ASSERT_NE(left_move, 0u);
   constexpr graph::NodeId kDecoys = 2000;
   const graph::NodeId n = inst.graph.node_count();
-  graph::GraphBuilder builder(n + kDecoys);
-  for (const auto& [u, v] : inst.graph.graph().edges()) {
-    builder.add_edge(u, v);
-  }
   std::vector<local::Label> labels;
   for (graph::NodeId v = 0; v < n; ++v) {
     labels.push_back(inst.graph.label(v));
@@ -406,7 +406,9 @@ TEST(Verifier, ConcurrentEvaluationMatchesSerial) {
     fields[6 + left_move] = -1 - static_cast<std::int64_t>(i);
     labels.emplace_back(std::move(fields));
   }
-  const LabeledGraph g(builder.build(), std::move(labels));
+  const LabeledGraph g(
+      graph::CsrGraph::from_edges(n + kDecoys, inst.graph.graph().edges()),
+      std::move(labels));
 
   const auto serial_verifier =
       make_gmr_verifier(3, params.policy, false, params.step_budget);

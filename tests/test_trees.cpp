@@ -6,7 +6,6 @@
 #include "exec/thread_pool.h"
 #include "exec/verdict_cache.h"
 #include "graph/generators.h"
-#include "graph/graph.h"
 #include "local/ball.h"
 #include "local/indistinguishability.h"
 #include "local/property.h"
@@ -154,12 +153,11 @@ TEST(Oracles, RejectMutations) {
       if (!coords_adjacent({lu.at(2), lu.at(3)}, {lv.at(2), lv.at(3)},
                            p.capital_R()) &&
           !good.graph().has_edge(u, v)) {
-        graph::GraphBuilder builder(good.node_count());
-        for (const auto& [a, b] : good.graph().edges()) {
-          builder.add_edge(a, b);
-        }
-        builder.add_edge(u, v);
-        extra_edge = LabeledGraph(builder.build(), good.labels());
+        graph::EdgeList edges = good.graph().edges();
+        edges.emplace_back(u, v);
+        extra_edge = LabeledGraph(
+            graph::CsrGraph::from_edges(good.node_count(), edges),
+            good.labels());
         added = true;
       }
     }
@@ -244,15 +242,13 @@ TEST(Verifier, RejectsTPlusPivotAttack) {
     labels.push_back(attack.label(v));
   }
   labels.push_back(pivot_label(p.r));
-  graph::GraphBuilder g2(pivot + 1);
-  for (const auto& [a, b] : attack.graph().edges()) {
-    g2.add_edge(a, b);
-  }
+  graph::EdgeList edges = attack.graph().edges();
   for (const CoordPair& c : expected_border(h, R)) {
-    g2.add_edge(pivot, static_cast<graph::NodeId>(
-                           graph::TreeIndex::id(static_cast<int>(c.y), c.x)));
+    edges.emplace_back(pivot, static_cast<graph::NodeId>(graph::TreeIndex::id(
+                                  static_cast<int>(c.y), c.x)));
   }
-  const LabeledGraph bad(g2.build(), std::move(labels));
+  const LabeledGraph bad(graph::CsrGraph::from_edges(pivot + 1, edges),
+                         std::move(labels));
   const auto verifier = make_P_prime_verifier(p);
   const auto run = local::run_oblivious(*verifier, bad);
   EXPECT_FALSE(run.accepted);
@@ -263,17 +259,19 @@ TEST(Verifier, RejectsPatchWithoutPivot) {
   const LabeledGraph with_pivot =
       build_patch_instance(p, subtree_patch(p, 1, 2));
   // Rebuild the same instance minus the pivot node (last node).
-  graph::GraphBuilder g(with_pivot.node_count() - 1);
+  const graph::NodeId n = with_pivot.node_count() - 1;
   std::vector<local::Label> labels;
-  for (graph::NodeId v = 0; v + 1 < with_pivot.node_count(); ++v) {
+  for (graph::NodeId v = 0; v < n; ++v) {
     labels.push_back(with_pivot.label(v));
   }
+  graph::EdgeList edges;
   for (const auto& [u, v] : with_pivot.graph().edges()) {
-    if (u < g.node_count() && v < g.node_count()) {
-      g.add_edge(u, v);
+    if (u < n && v < n) {
+      edges.emplace_back(u, v);
     }
   }
-  const LabeledGraph orphan(g.build(), std::move(labels));
+  const LabeledGraph orphan(graph::CsrGraph::from_edges(n, edges),
+                            std::move(labels));
   const auto verifier = make_P_prime_verifier(p);
   EXPECT_FALSE(local::run_oblivious(*verifier, orphan).accepted);
 }
