@@ -31,8 +31,10 @@ struct BenchCell {
   long peak_rss_kb = 0;
 };
 
+// `profile` is the resolved --faults selector, or null without one.
 BenchCell run_cell(const std::string& selector, int size,
-                   const BenchOptions& bench) {
+                   const BenchOptions& bench,
+                   const local::FaultProfileInstance* profile) {
   BenchCell cell;
   cell.selector = selector;
   cell.size = size;
@@ -42,15 +44,6 @@ BenchCell run_cell(const std::string& selector, int size,
   } catch (const std::exception& e) {
     cell.error = e.what();
     return cell;
-  }
-  std::optional<local::FaultProfileInstance> profile;
-  if (!bench.faults.empty()) {
-    try {
-      profile.emplace(local::resolve_faults_text(bench.faults));
-    } catch (const std::exception& e) {
-      cell.error = e.what();
-      return cell;
-    }
   }
   gen::WorkloadOptions wopts;
   wopts.seed = bench.seed;
@@ -235,6 +228,15 @@ int run_bench(const BenchOptions& bench_in, std::ostream& out) {
   if (bench.thread_grid.empty()) {
     bench.thread_grid.push_back(1);
   }
+  // Selector errors no size can change are usage errors, raised before any
+  // cell runs; the ones a size mapping causes stay cell errors.
+  for (const std::string& selector : bench.families) {
+    gen::resolve_family_text(selector);
+  }
+  std::optional<local::FaultProfileInstance> profile;
+  if (!bench.faults.empty()) {
+    profile.emplace(local::resolve_faults_text(bench.faults));
+  }
 
   const obs::Stopwatch bench_stopwatch;
   std::vector<BenchCell> cells;
@@ -244,7 +246,8 @@ int run_bench(const BenchOptions& bench_in, std::ostream& out) {
   // the per-cell determinism independent of the machine.
   for (const std::string& selector : bench.families) {
     for (int size : bench.sizes) {
-      cells.push_back(run_cell(selector, size, bench));
+      cells.push_back(
+          run_cell(selector, size, bench, profile ? &*profile : nullptr));
     }
   }
   const double total_ms = bench_stopwatch.elapsed_ms();

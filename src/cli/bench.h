@@ -54,7 +54,9 @@ const std::vector<std::string>& canonicalization_bench_families();
 
 // Runs the grid and writes the JSON document to `out`. Returns the process
 // exit code: 0 when every cell's invariants held and every thread count
-// reproduced the same deterministic fields, 1 otherwise.
+// reproduced the same deterministic fields, 1 otherwise. Throws Error,
+// before any cell runs, for a --family or --faults selector that fails at
+// every size.
 int run_bench(const BenchOptions& bench, std::ostream& out);
 
 }  // namespace locald::cli

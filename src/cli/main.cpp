@@ -41,6 +41,7 @@
 #include "obs/trace.h"
 #include "server/api.h"
 #include "server/server.h"
+#include "support/selector.h"
 
 namespace locald::cli {
 namespace {
@@ -134,6 +135,14 @@ int usage(std::ostream& out, int status) {
 // Flag values parse through the shared strict reader `locald::parse_int`
 // (support/format.h), the same one family selectors use.
 
+// The most threads --threads (and serve's --workers) may start: anything
+// far beyond the machine is a typo, not a request for a thousand OS
+// threads, and the floor of 32 keeps cross-thread-count determinism checks
+// runnable on small boxes.
+long long max_threads() {
+  return std::max(32LL, 4LL * exec::ThreadPool::hardware_parallelism());
+}
+
 // Comma-separated list of non-negative integers (--sizes, bench --threads);
 // nullopt on an empty list or any malformed/negative item, with the
 // offender reported through `bad_item` for the error message.
@@ -158,6 +167,12 @@ std::optional<std::vector<int>> parse_count_list(const std::string& text,
   return out;
 }
 
+int print_table(const ScenarioOptions& opts, const TextTable& table) {
+  std::cout << (opts.format == OutputFormat::csv ? table.render_csv()
+                                                 : table.render());
+  return 0;
+}
+
 int list_scenarios(const ScenarioOptions& opts, const std::string& format) {
   if (format == "json") {
     // The same bytes GET /v1/scenarios serves (CI diff-checks this).
@@ -168,12 +183,7 @@ int list_scenarios(const ScenarioOptions& opts, const std::string& format) {
   for (const Scenario& s : scenario_registry()) {
     table.add_row({s.name, s.paper_ref, s.summary});
   }
-  if (opts.format == OutputFormat::csv) {
-    std::cout << table.render_csv();
-  } else {
-    std::cout << table.render();
-  }
-  return 0;
+  return print_table(opts, table);
 }
 
 int list_families(const ScenarioOptions& opts, const std::string& format) {
@@ -184,19 +194,10 @@ int list_families(const ScenarioOptions& opts, const std::string& format) {
   }
   TextTable table({"family", "parameters", "random", "summary"});
   for (const gen::Family& f : gen::family_registry()) {
-    std::vector<std::string> params;
-    for (const gen::ParamSpec& p : f.params) {
-      params.push_back(cat(p.name, "=", p.default_value));
-    }
-    table.add_row({f.name, join(params, ","), f.randomized ? "yes" : "no",
-                   f.summary});
+    table.add_row({f.name, param_defaults(f.params),
+                   f.randomized ? "yes" : "no", f.summary});
   }
-  if (opts.format == OutputFormat::csv) {
-    std::cout << table.render_csv();
-  } else {
-    std::cout << table.render();
-  }
-  return 0;
+  return print_table(opts, table);
 }
 
 int list_faults(const ScenarioOptions& opts, const std::string& format) {
@@ -207,18 +208,9 @@ int list_faults(const ScenarioOptions& opts, const std::string& format) {
   }
   TextTable table({"profile", "parameters", "summary"});
   for (const local::FaultProfile& p : local::fault_registry()) {
-    std::vector<std::string> params;
-    for (const local::FaultParamSpec& spec : p.params) {
-      params.push_back(cat(spec.name, "=", spec.default_value));
-    }
-    table.add_row({p.name, join(params, ","), p.summary});
+    table.add_row({p.name, param_defaults(p.params), p.summary});
   }
-  if (opts.format == OutputFormat::csv) {
-    std::cout << table.render_csv();
-  } else {
-    std::cout << table.render();
-  }
-  return 0;
+  return print_table(opts, table);
 }
 
 std::atomic<bool> g_shutdown{false};
@@ -426,10 +418,7 @@ int main_impl(int argc, char** argv) {
     } else if (arg == "--threads" || arg == "--sizes") {
       // Both take comma-separated count lists (--threads is a single count
       // everywhere except bench, enforced after parsing). For --threads,
-      // 0 means "all hardware threads"; anything far beyond the machine is
-      // a typo, not a request for a thousand OS threads, and the floor of
-      // 32 keeps cross-thread-count determinism checks runnable on small
-      // boxes.
+      // 0 means "all hardware threads".
       const auto value = take_value();
       std::string bad_item;
       std::optional<std::vector<int>> parsed;
@@ -448,12 +437,10 @@ int main_impl(int argc, char** argv) {
       if (arg == "--sizes") {
         sizes = *parsed;
       } else {
-        const long long max_threads =
-            std::max(32LL, 4LL * exec::ThreadPool::hardware_parallelism());
         for (int threads : *parsed) {
-          if (threads > max_threads) {
+          if (threads > max_threads()) {
             std::cerr << "--threads " << threads
-                      << " exceeds the sane maximum " << max_threads
+                      << " exceeds the sane maximum " << max_threads()
                       << "; use 0 for all hardware threads\n";
             return 2;
           }
@@ -630,6 +617,11 @@ int main_impl(int argc, char** argv) {
     if (workers != -1) {
       if (workers == 0) {
         std::cerr << "--workers must be at least 1\n";
+        return 2;
+      }
+      if (workers > max_threads()) {
+        std::cerr << "--workers " << workers << " exceeds the sane maximum "
+                  << max_threads() << "\n";
         return 2;
       }
       serve_opts.workers = workers;

@@ -1,6 +1,8 @@
 #include "cli/scenario.h"
 
 #include "cli/scenarios.h"
+#include "gen/family.h"
+#include "local/fault_profile.h"
 
 namespace locald::cli {
 
@@ -44,6 +46,11 @@ const Scenario& resolve_scenario(const std::string& name,
     throw Error(cat("scenario ", json_quote(name), " does not take ",
                     unsupported, " (see `locald help ", name, "`)"));
   }
+  // Explicit selector values override every size mapping, so resolving at
+  // size 0 raises exactly the errors no --size can change: malformed text,
+  // unknown names and parameters, out-of-range explicit values.
+  if (!family.empty()) gen::resolve_family_text(family);
+  if (!faults.empty()) local::resolve_faults_text(faults);
   return *scenario;
 }
 

@@ -82,8 +82,9 @@ class UnknownScenario : public Error {
 // The one validation of a scenario request, shared by `locald run|sweep`
 // and `POST /v1/run|/v1/sweep`. Throws `UnknownScenario` for an unknown
 // name, and `Error` (HTTP 400, CLI exit 2) for a non-empty `family` or
-// `faults` selector the scenario does not declare. Both surfaces report the
-// exception's message verbatim.
+// `faults` selector the scenario does not declare or the selector resolver
+// rejects at every size. Both surfaces report the exception's message
+// verbatim.
 const Scenario& resolve_scenario(const std::string& name,
                                  const std::string& family,
                                  const std::string& faults);

@@ -1,144 +1,30 @@
 #include "gen/family.h"
 
-#include "support/check.h"
-#include "support/format.h"
-
 namespace locald::gen {
 
-FamilySpec parse_family_spec(const std::string& text) {
-  FamilySpec spec;
-  const std::size_t colon = text.find(':');
-  spec.family = text.substr(0, colon);
-  LOCALD_CHECK(!spec.family.empty(),
-               "family selector needs a name, e.g. \"cycle\" or "
-               "\"torus:width=8,height=6\"");
-  if (colon == std::string::npos) {
-    return spec;
-  }
-  const std::string rest = text.substr(colon + 1);
-  LOCALD_CHECK(!rest.empty(),
-               cat("family selector \"", text, "\" has a ':' but no k=v list"));
-  std::size_t start = 0;
-  while (start <= rest.size()) {
-    std::size_t comma = rest.find(',', start);
-    if (comma == std::string::npos) {
-      comma = rest.size();
-    }
-    const std::string item = rest.substr(start, comma - start);
-    const std::size_t eq = item.find('=');
-    LOCALD_CHECK(eq != std::string::npos && eq > 0,
-                 cat("family parameter \"", item, "\" is not of the form k=v"));
-    const std::string key = item.substr(0, eq);
-    const auto value = parse_int(item.substr(eq + 1));
-    LOCALD_CHECK(value.has_value(),
-                 cat("family parameter \"", item, "\" needs an integer value"));
-    for (const auto& [existing, unused] : spec.params) {
-      LOCALD_CHECK(existing != key,
-                   cat("family parameter \"", key, "\" given twice"));
-    }
-    spec.params.emplace_back(key, *value);
-    start = comma + 1;
-  }
-  return spec;
-}
-
-FamilyInstanceSpec::FamilyInstanceSpec(const Family* family,
-                                       std::vector<std::int64_t> values)
-    : family_(family), values_(std::move(values)) {
-  LOCALD_ASSERT(family_ != nullptr, "resolved spec needs a family");
-  LOCALD_ASSERT(values_.size() == family_->params.size(),
-                "one value required per family parameter");
-}
-
-std::int64_t FamilyInstanceSpec::value(const std::string& param) const {
-  const int index = family_->param_index(param);
-  LOCALD_ASSERT(index >= 0,
-                cat("family ", family_->name, " has no parameter ", param));
-  return values_[static_cast<std::size_t>(index)];
-}
-
-std::string FamilyInstanceSpec::canonical() const {
-  std::string out = family_->name;
-  for (std::size_t i = 0; i < values_.size(); ++i) {
-    out += i == 0 ? ':' : ',';
-    out += family_->params[i].name;
-    out += '=';
-    out += std::to_string(values_[i]);
-  }
-  return out;
-}
-
 Invariants FamilyInstanceSpec::invariants() const {
-  return family_->declared_invariants(values_);
+  return entry_->declared_invariants(values_);
 }
 
 graph::CsrGraph FamilyInstanceSpec::build(std::uint64_t seed) const {
-  return family_->build(values_, seed);
-}
-
-int Family::param_index(const std::string& param_name) const {
-  for (std::size_t i = 0; i < params.size(); ++i) {
-    if (params[i].name == param_name) {
-      return static_cast<int>(i);
-    }
-  }
-  return -1;
-}
-
-const Family* find_family(const std::string& name) {
-  for (const Family& f : family_registry()) {
-    if (f.name == name) {
-      return &f;
-    }
-  }
-  return nullptr;
-}
-
-FamilyInstanceSpec resolve_family(const FamilySpec& spec, std::int64_t size) {
-  const Family* family = find_family(spec.family);
-  LOCALD_CHECK(family != nullptr,
-               cat("unknown graph family \"", spec.family,
-                   "\" (see `locald list --families`)"));
-  std::vector<std::int64_t> values;
-  values.reserve(family->params.size());
-  for (const ParamSpec& p : family->params) {
-    values.push_back(p.default_value);
-  }
-  std::vector<bool> explicitly_set(values.size(), false);
-  for (const auto& [key, value] : spec.params) {
-    const int index = family->param_index(key);
-    LOCALD_CHECK(index >= 0, cat("family \"", family->name,
-                                 "\" has no parameter \"", key, "\""));
-    values[static_cast<std::size_t>(index)] = value;
-    explicitly_set[static_cast<std::size_t>(index)] = true;
-  }
-  if (size > 0) {
-    // The mapping sees the explicit assignments and which ones are pinned
-    // (a mapping that derives one parameter from a sibling — grid height
-    // from a pinned width, balanced-tree depth from arity — must use the
-    // values that will actually build); whatever it writes to a pinned
-    // slot is discarded, so explicit parameters always win.
-    std::vector<std::int64_t> sized = values;
-    family->apply_size(size, sized, explicitly_set);
-    for (std::size_t i = 0; i < values.size(); ++i) {
-      if (!explicitly_set[i]) {
-        values[i] = sized[i];
-      }
-    }
-  }
-  for (std::size_t i = 0; i < values.size(); ++i) {
-    const ParamSpec& p = family->params[i];
-    LOCALD_CHECK(values[i] >= p.min_value && values[i] <= p.max_value,
-                 cat("family \"", family->name, "\" parameter ", p.name, " = ",
-                     values[i], " is outside [", p.min_value, ", ",
-                     p.max_value, "]"));
-  }
-  return FamilyInstanceSpec(family, std::move(values));
+  return entry_->build(values_, seed);
 }
 
 FamilyInstanceSpec resolve_family_text(const std::string& text,
                                        std::int64_t size) {
-  return resolve_family(parse_family_spec(text), size);
+  const Selector selector = parse_selector(text, kFamilySelector);
+  const Family& family =
+      find_entry(family_registry(), kFamilySelector, selector.name);
+  SizeMapping apply_size;
+  if (size > 0) {
+    apply_size = [&](std::vector<std::int64_t>& values,
+                     const std::vector<bool>& pinned) {
+      family.apply_size(size, values, pinned);
+    };
+  }
+  return FamilyInstanceSpec(
+      &family, resolve_params(kFamilySelector, family.name, family.params,
+                              selector, apply_size));
 }
 
 }  // namespace locald::gen

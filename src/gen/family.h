@@ -4,7 +4,7 @@
 // families*, not single topologies; gen/ turns families into first-class,
 // selectable workload sources. A `Family` is a named, parameterized graph
 // builder together with
-//  - a parameter schema (names, defaults, valid ranges),
+//  - a parameter schema (names, defaults, valid ranges; support/selector.h),
 //  - a size mapping (how the scenario-wide `--size` knob — a target node
 //    count — translates into family parameters), and
 //  - declared invariants (exact node/edge counts, degree bound,
@@ -17,14 +17,9 @@
 // (graph/generators.h), so instances are call-order- and
 // scheduling-independent like every other randomized artifact in locald.
 //
-// Selector syntax, shared by `--family` and the JSON APIs:
-//
-//   <name>                      e.g. "cycle"
-//   <name>:<k>=<v>,<k>=<v>...   e.g. "torus:width=8,height=6"
-//
-// `FamilySpec::canonical()` re-encodes a resolved spec with every parameter
-// spelled out in schema order — the registry-wide canonical parameter
-// encoding used by bench documents and cache-style keys.
+// Families are picked by the shared selector grammar (support/selector.h),
+// e.g. "cycle" or "torus:width=8,height=6", through `--family` and the JSON
+// APIs' `family` field.
 #pragma once
 
 #include <cstdint>
@@ -32,17 +27,9 @@
 #include <vector>
 
 #include "graph/csr.h"
+#include "support/selector.h"
 
 namespace locald::gen {
-
-// One named integer parameter of a family.
-struct ParamSpec {
-  std::string name;
-  std::int64_t default_value = 0;
-  std::int64_t min_value = 0;
-  std::int64_t max_value = 0;
-  std::string help;
-};
 
 // Invariants a family declares for one resolved parameter assignment.
 // Tests and the bench workload check every declared field against built
@@ -55,37 +42,9 @@ struct Invariants {
   bool bipartite = false;          // declared always-bipartite
 };
 
-class Family;
-
-// A parsed (but not yet validated) `--family` selector.
-struct FamilySpec {
-  std::string family;
-  std::vector<std::pair<std::string, std::int64_t>> params;  // as written
-};
-
-// Parse the selector syntax above. Throws Error on malformed text
-// (empty name, missing '=', non-integer value, duplicate key).
-FamilySpec parse_family_spec(const std::string& text);
-
-// A spec resolved against the registry: every schema parameter has a value.
-class FamilyInstanceSpec {
- public:
-  FamilyInstanceSpec(const Family* family, std::vector<std::int64_t> values);
-
-  const Family& family() const { return *family_; }
-  const std::vector<std::int64_t>& values() const { return values_; }
-  std::int64_t value(const std::string& param) const;
-
-  // Canonical encoding: "name:k=v,..." with every parameter in schema order.
-  std::string canonical() const;
-
-  Invariants invariants() const;
-  graph::CsrGraph build(std::uint64_t seed) const;
-
- private:
-  const Family* family_;
-  std::vector<std::int64_t> values_;
-};
+// How family selectors name themselves in error messages.
+inline constexpr SelectorKind kFamilySelector{
+    "graph family", "\"cycle\" or \"torus:width=8,height=6\"", "--families"};
 
 // A registered, parameterized graph family.
 class Family {
@@ -114,24 +73,25 @@ class Family {
   SizeFn apply_size = nullptr;
   InvariantsFn declared_invariants = nullptr;
   BuildFn build = nullptr;
+};
 
-  int param_index(const std::string& param_name) const;  // -1 when unknown
+// A family selector resolved against the registry.
+class FamilyInstanceSpec : public Resolved<Family> {
+ public:
+  using Resolved::Resolved;
+
+  Invariants invariants() const;
+  graph::CsrGraph build(std::uint64_t seed) const;
 };
 
 // The full registry, in presentation order. At least eight families; see
 // gen/registry.cpp for the list.
 const std::vector<Family>& family_registry();
 
-// Lookup by name; nullptr when unknown.
-const Family* find_family(const std::string& name);
-
-// Validate `spec` against the registry and fill unset parameters with their
-// defaults. When `size > 0`, the family's size mapping is applied first and
-// explicit parameter assignments override it. Throws Error on unknown
-// family, unknown parameter, or out-of-range value.
-FamilyInstanceSpec resolve_family(const FamilySpec& spec, std::int64_t size = 0);
-
-// parse + resolve in one step (the CLI/API entry point).
+// Parse `text` and resolve it against the registry. When `size > 0`, the
+// family's size mapping fills the parameters `text` leaves unset. Throws
+// Error on malformed text, an unknown family or parameter, or an
+// out-of-range value.
 FamilyInstanceSpec resolve_family_text(const std::string& text,
                                        std::int64_t size = 0);
 

@@ -199,7 +199,7 @@ FaultRobustnessResult run_fault_robustness(
   }
   // One flood per profile decides the whole panel: the gathered knowledge
   // does not depend on the algorithm. A `none` pass needs only the control.
-  const bool faulty_is_control = profile.profile().name == "none";
+  const bool faulty_is_control = profile.entry().name == "none";
   std::vector<local::FloodResult> floods(faulty_is_control ? 1 : 2);
   exec.for_each(floods.size(), [&](std::size_t i) {
     const local::FaultProfileInstance& flood_profile =

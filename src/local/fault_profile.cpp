@@ -1,7 +1,5 @@
 #include "local/fault_profile.h"
 
-#include "support/check.h"
-#include "support/format.h"
 
 namespace locald::local {
 
@@ -43,82 +41,6 @@ FaultKnobs chaos_knobs(const std::vector<std::int64_t>& values) {
 }
 
 }  // namespace
-
-FaultProfileSpec parse_fault_spec(const std::string& text) {
-  FaultProfileSpec spec;
-  const std::size_t colon = text.find(':');
-  spec.profile = text.substr(0, colon);
-  LOCALD_CHECK(!spec.profile.empty(),
-               "fault selector needs a name, e.g. \"none\" or "
-               "\"drop:per-mille=250,attempts=2\"");
-  if (colon == std::string::npos) {
-    return spec;
-  }
-  const std::string rest = text.substr(colon + 1);
-  LOCALD_CHECK(!rest.empty(),
-               cat("fault selector \"", text, "\" has a ':' but no k=v list"));
-  std::size_t start = 0;
-  while (start <= rest.size()) {
-    std::size_t comma = rest.find(',', start);
-    if (comma == std::string::npos) {
-      comma = rest.size();
-    }
-    const std::string item = rest.substr(start, comma - start);
-    const std::size_t eq = item.find('=');
-    LOCALD_CHECK(eq != std::string::npos && eq > 0,
-                 cat("fault parameter \"", item, "\" is not of the form k=v"));
-    const std::string key = item.substr(0, eq);
-    const auto value = parse_int(item.substr(eq + 1));
-    LOCALD_CHECK(value.has_value(),
-                 cat("fault parameter \"", item, "\" needs an integer value"));
-    for (const auto& [existing, unused] : spec.params) {
-      LOCALD_CHECK(existing != key,
-                   cat("fault parameter \"", key, "\" given twice"));
-    }
-    spec.params.emplace_back(key, *value);
-    start = comma + 1;
-  }
-  return spec;
-}
-
-FaultProfileInstance::FaultProfileInstance(const FaultProfile* profile,
-                                           std::vector<std::int64_t> values)
-    : profile_(profile), values_(std::move(values)) {
-  LOCALD_ASSERT(profile_ != nullptr, "resolved spec needs a profile");
-  LOCALD_ASSERT(values_.size() == profile_->params.size(),
-                "one value required per profile parameter");
-}
-
-std::int64_t FaultProfileInstance::value(const std::string& param) const {
-  const int index = profile_->param_index(param);
-  LOCALD_ASSERT(index >= 0,
-                cat("profile ", profile_->name, " has no parameter ", param));
-  return values_[static_cast<std::size_t>(index)];
-}
-
-std::string FaultProfileInstance::canonical() const {
-  std::string out = profile_->name;
-  for (std::size_t i = 0; i < values_.size(); ++i) {
-    out += i == 0 ? ':' : ',';
-    out += profile_->params[i].name;
-    out += '=';
-    out += std::to_string(values_[i]);
-  }
-  return out;
-}
-
-FaultKnobs FaultProfileInstance::knobs() const {
-  return profile_->knobs(values_);
-}
-
-int FaultProfile::param_index(const std::string& param_name) const {
-  for (std::size_t i = 0; i < params.size(); ++i) {
-    if (params[i].name == param_name) {
-      return static_cast<int>(i);
-    }
-  }
-  return -1;
-}
 
 const std::vector<FaultProfile>& fault_registry() {
   // Parameter bounds keep one faulty run's event count polynomial in the
@@ -168,43 +90,13 @@ const std::vector<FaultProfile>& fault_registry() {
   return registry;
 }
 
-const FaultProfile* find_fault_profile(const std::string& name) {
-  for (const FaultProfile& p : fault_registry()) {
-    if (p.name == name) {
-      return &p;
-    }
-  }
-  return nullptr;
-}
-
-FaultProfileInstance resolve_faults(const FaultProfileSpec& spec) {
-  const FaultProfile* profile = find_fault_profile(spec.profile);
-  LOCALD_CHECK(profile != nullptr,
-               cat("unknown fault profile \"", spec.profile,
-                   "\" (see `locald list --faults`)"));
-  std::vector<std::int64_t> values;
-  values.reserve(profile->params.size());
-  for (const FaultParamSpec& p : profile->params) {
-    values.push_back(p.default_value);
-  }
-  for (const auto& [key, value] : spec.params) {
-    const int index = profile->param_index(key);
-    LOCALD_CHECK(index >= 0, cat("fault profile \"", profile->name,
-                                 "\" has no parameter \"", key, "\""));
-    values[static_cast<std::size_t>(index)] = value;
-  }
-  for (std::size_t i = 0; i < values.size(); ++i) {
-    const FaultParamSpec& p = profile->params[i];
-    LOCALD_CHECK(values[i] >= p.min_value && values[i] <= p.max_value,
-                 cat("fault profile \"", profile->name, "\" parameter ",
-                     p.name, " = ", values[i], " is outside [", p.min_value,
-                     ", ", p.max_value, "]"));
-  }
-  return FaultProfileInstance(profile, std::move(values));
-}
-
 FaultProfileInstance resolve_faults_text(const std::string& text) {
-  return resolve_faults(parse_fault_spec(text));
+  const Selector selector = parse_selector(text, kFaultSelector);
+  const FaultProfile& profile =
+      find_entry(fault_registry(), kFaultSelector, selector.name);
+  return FaultProfileInstance(
+      &profile,
+      resolve_params(kFaultSelector, profile.name, profile.params, selector));
 }
 
 LabeledGraph mutate_label(const LabeledGraph& g, Rng& rng) {

@@ -6,7 +6,8 @@
 // literature probes what survives under model perturbations. A fault
 // profile is the network-side analogue of a graph family: a named,
 // parameterized misbehaviour source with
-//  - a parameter schema (names, defaults, valid ranges), and
+//  - a parameter schema (names, defaults, valid ranges; support/selector.h),
+//    and
 //  - a resolved knob set (`FaultKnobs`) the event engine reads — per-hop
 //    delay bound, per-attempt loss probability, bounded retransmission
 //    attempts, and payload fragmentation.
@@ -18,14 +19,9 @@
 // seed) — call-order- and thread-count-independent like every other
 // randomized artifact in locald.
 //
-// Selector syntax, shared by `--faults` and the JSON APIs (deliberately the
-// `--family` grammar from gen/family.h):
-//
-//   <name>                      e.g. "drop"
-//   <name>:<k>=<v>,<k>=<v>...   e.g. "drop:per-mille=250,attempts=2"
-//
-// `FaultProfileInstance::canonical()` re-encodes a resolved spec with every
-// parameter spelled out in schema order.
+// Profiles are picked by the selector grammar `--family` uses
+// (support/selector.h), e.g. "drop:per-mille=250,attempts=2", through
+// `--faults` and the JSON APIs' `fault_profile` field.
 //
 // This header also hosts the structural/label mutation operators
 // (mutate_label, mutate_add_edge, mutate_swap_labels) that the differential
@@ -40,18 +36,9 @@
 
 #include "local/labeled_graph.h"
 #include "support/rng.h"
+#include "support/selector.h"
 
 namespace locald::local {
-
-// One named integer parameter of a fault profile (the gen::ParamSpec shape;
-// local/ cannot include gen/ — gen depends on local).
-struct FaultParamSpec {
-  std::string name;
-  std::int64_t default_value = 0;
-  std::int64_t min_value = 0;
-  std::int64_t max_value = 0;
-  std::string help;
-};
 
 // The resolved knob set the event engine consumes. The clean profile is the
 // default-constructed value: no delay, no loss, one attempt, one fragment.
@@ -62,37 +49,10 @@ struct FaultKnobs {
   std::int64_t fragments = 1;        // pieces a delivered payload splits into
 };
 
-class FaultProfile;
-
-// A parsed (but not yet validated) `--faults` selector.
-struct FaultProfileSpec {
-  std::string profile;
-  std::vector<std::pair<std::string, std::int64_t>> params;  // as written
-};
-
-// Parse the selector syntax above. Throws Error on malformed text
-// (empty name, missing '=', non-integer value, duplicate key).
-FaultProfileSpec parse_fault_spec(const std::string& text);
-
-// A spec resolved against the registry: every schema parameter has a value.
-class FaultProfileInstance {
- public:
-  FaultProfileInstance(const FaultProfile* profile,
-                       std::vector<std::int64_t> values);
-
-  const FaultProfile& profile() const { return *profile_; }
-  const std::vector<std::int64_t>& values() const { return values_; }
-  std::int64_t value(const std::string& param) const;
-
-  // Canonical encoding: "name:k=v,..." with every parameter in schema order.
-  std::string canonical() const;
-
-  FaultKnobs knobs() const;
-
- private:
-  const FaultProfile* profile_;
-  std::vector<std::int64_t> values_;
-};
+// How fault-profile selectors name themselves in error messages.
+inline constexpr SelectorKind kFaultSelector{
+    "fault profile", "\"none\" or \"drop:per-mille=250,attempts=2\"",
+    "--faults"};
 
 // A registered, parameterized fault profile.
 class FaultProfile {
@@ -101,25 +61,24 @@ class FaultProfile {
 
   std::string name;
   std::string summary;
-  std::vector<FaultParamSpec> params;
+  std::vector<ParamSpec> params;
   KnobsFn knobs = nullptr;
+};
 
-  int param_index(const std::string& param_name) const;  // -1 when unknown
+// A fault-profile selector resolved against the registry.
+class FaultProfileInstance : public Resolved<FaultProfile> {
+ public:
+  using Resolved::Resolved;
+
+  FaultKnobs knobs() const { return entry_->knobs(values_); }
 };
 
 // The full registry, in presentation order: none, delay, drop, fragment,
 // chaos (see fault_profile.cpp).
 const std::vector<FaultProfile>& fault_registry();
 
-// Lookup by name; nullptr when unknown.
-const FaultProfile* find_fault_profile(const std::string& name);
-
-// Validate `spec` against the registry and fill unset parameters with their
-// defaults. Throws Error on unknown profile, unknown parameter, or
-// out-of-range value.
-FaultProfileInstance resolve_faults(const FaultProfileSpec& spec);
-
-// parse + resolve in one step (the CLI/API entry point).
+// Parse `text` and resolve it against the registry. Throws Error on
+// malformed text, an unknown profile or parameter, or an out-of-range value.
 FaultProfileInstance resolve_faults_text(const std::string& text);
 
 // --- Instance mutation operators ------------------------------------------

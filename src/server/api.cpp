@@ -11,6 +11,7 @@
 #include "support/format.h"
 #include "support/json.h"
 #include "support/schema.h"
+#include "support/selector.h"
 
 namespace locald::server {
 
@@ -51,29 +52,20 @@ std::string take_scenario_name(const JsonValue& root) {
   return name->as_string();
 }
 
-std::string take_family(const JsonValue& root) {
-  const JsonValue* family = root.find("family");
-  if (family == nullptr) {
+// A selector field (`family`, `fault_profile`); empty when absent. Whether
+// the selector names a registry entry is `cli::resolve_scenario`'s check.
+std::string take_selector(const JsonValue& root, const char* field,
+                          const char* catalog) {
+  const JsonValue* selector = root.find(field);
+  if (selector == nullptr) {
     return {};
   }
-  LOCALD_CHECK(family->is_string(), "field \"family\" must be a string");
-  LOCALD_CHECK(!family->as_string().empty(),
-               "field \"family\" must be a non-empty selector "
-               "(see /v1/families)");
-  return family->as_string();
-}
-
-std::string take_fault_profile(const JsonValue& root) {
-  const JsonValue* faults = root.find("fault_profile");
-  if (faults == nullptr) {
-    return {};
-  }
-  LOCALD_CHECK(faults->is_string(),
-               "field \"fault_profile\" must be a string");
-  LOCALD_CHECK(!faults->as_string().empty(),
-               "field \"fault_profile\" must be a non-empty selector "
-               "(see /v1/faults)");
-  return faults->as_string();
+  LOCALD_CHECK(selector->is_string(),
+               cat("field \"", field, "\" must be a string"));
+  LOCALD_CHECK(!selector->as_string().empty(),
+               cat("field \"", field, "\" must be a non-empty selector (see ",
+                   catalog, ")"));
+  return selector->as_string();
 }
 
 void reject_unknown_fields(const JsonValue& root,
@@ -104,8 +96,8 @@ ScenarioRequest<cli::ScenarioOptions> parse_run_request(
   if (const JsonValue* v = root.find("trials")) {
     opts.trials = take_count(*v, "trials");
   }
-  opts.family = take_family(root);
-  opts.faults = take_fault_profile(root);
+  opts.family = take_selector(root, "family", "/v1/families");
+  opts.faults = take_selector(root, "fault_profile", "/v1/faults");
   return req;
 }
 
@@ -117,8 +109,8 @@ ScenarioRequest<cli::SweepOptions> parse_sweep_request(
   ScenarioRequest<cli::SweepOptions> req;
   req.scenario = take_scenario_name(root);
   cli::SweepOptions& sweep = req.options;
-  sweep.family = take_family(root);
-  sweep.faults = take_fault_profile(root);
+  sweep.family = take_selector(root, "family", "/v1/families");
+  sweep.faults = take_selector(root, "fault_profile", "/v1/faults");
   if (const JsonValue* v = root.find("seed")) {
     sweep.seed = take_seed(*v, "seed");
   }
@@ -168,41 +160,31 @@ std::string scenarios_document() {
   return out.str();
 }
 
-std::string families_document() {
+namespace {
+
+// The catalog of a selector registry: per entry its name, summary, the
+// members `extra` writes, and its parameter schema.
+template <class Entry, class Extra>
+std::string catalog_document(const char* tool, const char* key,
+                             const std::vector<Entry>& registry,
+                             const Extra& extra) {
   std::ostringstream out;
   JsonWriter w(out, 2);
   w.begin_object();
   w.key("tool");
-  w.value("locald-families");
+  w.value(tool);
   w.key("schema_version");
   w.value(kSchemaVersion);
-  w.key("families");
+  w.key(key);
   w.begin_array();
-  for (const gen::Family& f : gen::family_registry()) {
+  for (const Entry& entry : registry) {
     w.begin_object();
     w.key("name");
-    w.value(f.name);
+    w.value(entry.name);
     w.key("summary");
-    w.value(f.summary);
-    w.key("randomized");
-    w.value(f.randomized);
-    w.key("params");
-    w.begin_array();
-    for (const gen::ParamSpec& p : f.params) {
-      w.begin_object();
-      w.key("name");
-      w.value(p.name);
-      w.key("default");
-      w.value(p.default_value);
-      w.key("min");
-      w.value(p.min_value);
-      w.key("max");
-      w.value(p.max_value);
-      w.key("help");
-      w.value(p.help);
-      w.end_object();
-    }
-    w.end_array();
+    w.value(entry.summary);
+    extra(w, entry);
+    write_params(w, entry.params);
     w.end_object();
   }
   w.end_array();
@@ -211,45 +193,20 @@ std::string families_document() {
   return out.str();
 }
 
+}  // namespace
+
+std::string families_document() {
+  return catalog_document(
+      "locald-families", "families", gen::family_registry(),
+      [](JsonWriter& w, const gen::Family& f) {
+        w.key("randomized");
+        w.value(f.randomized);
+      });
+}
+
 std::string faults_document() {
-  std::ostringstream out;
-  JsonWriter w(out, 2);
-  w.begin_object();
-  w.key("tool");
-  w.value("locald-faults");
-  w.key("schema_version");
-  w.value(kSchemaVersion);
-  w.key("faults");
-  w.begin_array();
-  for (const local::FaultProfile& p : local::fault_registry()) {
-    w.begin_object();
-    w.key("name");
-    w.value(p.name);
-    w.key("summary");
-    w.value(p.summary);
-    w.key("params");
-    w.begin_array();
-    for (const local::FaultParamSpec& spec : p.params) {
-      w.begin_object();
-      w.key("name");
-      w.value(spec.name);
-      w.key("default");
-      w.value(spec.default_value);
-      w.key("min");
-      w.value(spec.min_value);
-      w.key("max");
-      w.value(spec.max_value);
-      w.key("help");
-      w.value(spec.help);
-      w.end_object();
-    }
-    w.end_array();
-    w.end_object();
-  }
-  w.end_array();
-  w.end_object();
-  out << "\n";
-  return out.str();
+  return catalog_document("locald-faults", "faults", local::fault_registry(),
+                          [](JsonWriter&, const local::FaultProfile&) {});
 }
 
 std::string version_document() {

@@ -6,8 +6,11 @@
 //  - `BugError`: an internal invariant broke; indicates a defect in locald
 //    itself rather than in the caller's input.
 //
-// Both carry the source location of the failed check so that test failures
-// and example output point at the violated condition directly.
+// An `Error` carries its message alone (the condition text when the message
+// is empty): it reaches users verbatim, in CLI stderr and in the error
+// fields of JSON documents, whose bytes must not depend on the build
+// directory or on line numbers. A `BugError` also carries the condition and
+// the source location, which point a defect report at the broken invariant.
 #pragma once
 
 #include <stdexcept>
@@ -29,12 +32,15 @@ class BugError : public std::logic_error {
 
 namespace detail {
 
-[[noreturn]] inline void throw_check_failure(const char* kind, const char* expr,
-                                             const char* file, int line,
-                                             const std::string& msg) {
-  std::string out;
-  out += kind;
-  out += " failed: ";
+[[noreturn]] inline void throw_check_error(const char* expr,
+                                           const std::string& msg) {
+  throw Error(msg.empty() ? std::string(expr) : msg);
+}
+
+[[noreturn]] inline void throw_assert_failure(const char* expr,
+                                              const char* file, int line,
+                                              const std::string& msg) {
+  std::string out = "ASSERT failed: ";
   out += expr;
   out += " at ";
   out += file;
@@ -44,9 +50,6 @@ namespace detail {
     out += " — ";
     out += msg;
   }
-  if (kind[0] == 'L') {  // LOCALD_CHECK → caller error
-    throw Error(out);
-  }
   throw BugError(out);
 }
 
@@ -54,19 +57,18 @@ namespace detail {
 }  // namespace locald
 
 // Precondition on caller input. Throws locald::Error when violated.
-#define LOCALD_CHECK(cond, msg)                                              \
-  do {                                                                       \
-    if (!(cond)) {                                                           \
-      ::locald::detail::throw_check_failure("LOCALD_CHECK", #cond, __FILE__, \
-                                            __LINE__, (msg));                \
-    }                                                                        \
+#define LOCALD_CHECK(cond, msg)                                 \
+  do {                                                          \
+    if (!(cond)) {                                              \
+      ::locald::detail::throw_check_error(#cond, (msg));        \
+    }                                                           \
   } while (false)
 
 // Internal invariant. Throws locald::BugError when violated.
 #define LOCALD_ASSERT(cond, msg)                                          \
   do {                                                                    \
     if (!(cond)) {                                                        \
-      ::locald::detail::throw_check_failure("ASSERT", #cond, __FILE__,    \
-                                            __LINE__, (msg));             \
+      ::locald::detail::throw_assert_failure(#cond, __FILE__, __LINE__,   \
+                                             (msg));                      \
     }                                                                     \
   } while (false)

@@ -153,7 +153,7 @@ TEST(FaultSelector, CanonicalSpellsEveryDefaultAndIsAFixedPoint) {
   for (const local::FaultProfile& p : local::fault_registry()) {
     const auto inst = local::resolve_faults_text(p.name);
     // Bare name resolves to all defaults...
-    for (const local::FaultParamSpec& spec : p.params) {
+    for (const ParamSpec& spec : p.params) {
       EXPECT_EQ(inst.value(spec.name), spec.default_value) << p.name;
     }
     // ...and the canonical encoding re-resolves to itself.

@@ -14,21 +14,23 @@
 #include "graph/algorithms.h"
 #include "graph/generators.h"
 #include "graph/pyramid.h"
+#include "support/json.h"
 
 namespace locald::gen {
 namespace {
 
 // ---- selector parsing and canonical encodings ------------------------------
 
-TEST(FamilySpec, ParsesBareName) {
-  const FamilySpec spec = parse_family_spec("cycle");
-  EXPECT_EQ(spec.family, "cycle");
+TEST(FamilySelector, ParsesBareName) {
+  const Selector spec = parse_selector("cycle", kFamilySelector);
+  EXPECT_EQ(spec.name, "cycle");
   EXPECT_TRUE(spec.params.empty());
 }
 
-TEST(FamilySpec, ParsesParameterList) {
-  const FamilySpec spec = parse_family_spec("torus:width=8,height=6");
-  EXPECT_EQ(spec.family, "torus");
+TEST(FamilySelector, ParsesParameterList) {
+  const Selector spec =
+      parse_selector("torus:width=8,height=6", kFamilySelector);
+  EXPECT_EQ(spec.name, "torus");
   ASSERT_EQ(spec.params.size(), 2u);
   EXPECT_EQ(spec.params[0].first, "width");
   EXPECT_EQ(spec.params[0].second, 8);
@@ -36,24 +38,24 @@ TEST(FamilySpec, ParsesParameterList) {
   EXPECT_EQ(spec.params[1].second, 6);
 }
 
-TEST(FamilySpec, RejectsMalformedSelectors) {
-  EXPECT_THROW(parse_family_spec(""), Error);
-  EXPECT_THROW(parse_family_spec(":n=3"), Error);
-  EXPECT_THROW(parse_family_spec("cycle:"), Error);
-  EXPECT_THROW(parse_family_spec("cycle:n"), Error);
-  EXPECT_THROW(parse_family_spec("cycle:n=abc"), Error);
-  EXPECT_THROW(parse_family_spec("cycle:n=3,n=4"), Error);
-  EXPECT_THROW(parse_family_spec("cycle:=3"), Error);
+TEST(FamilySelector, RejectsMalformedSelectors) {
+  EXPECT_THROW(parse_selector("", kFamilySelector), Error);
+  EXPECT_THROW(parse_selector(":n=3", kFamilySelector), Error);
+  EXPECT_THROW(parse_selector("cycle:", kFamilySelector), Error);
+  EXPECT_THROW(parse_selector("cycle:n", kFamilySelector), Error);
+  EXPECT_THROW(parse_selector("cycle:n=abc", kFamilySelector), Error);
+  EXPECT_THROW(parse_selector("cycle:n=3,n=4", kFamilySelector), Error);
+  EXPECT_THROW(parse_selector("cycle:=3", kFamilySelector), Error);
 }
 
-TEST(FamilySpec, ResolutionRejectsUnknownNamesAndParams) {
+TEST(FamilySelector, ResolutionRejectsUnknownNamesAndParams) {
   EXPECT_THROW(resolve_family_text("moebius"), Error);
   EXPECT_THROW(resolve_family_text("cycle:girth=3"), Error);
   EXPECT_THROW(resolve_family_text("cycle:n=2"), Error);        // below min
   EXPECT_THROW(resolve_family_text("gnp:permille=1001"), Error);
 }
 
-TEST(FamilySpec, CanonicalEncodingSpellsOutEveryParameter) {
+TEST(FamilySelector, CanonicalEncodingSpellsOutEveryParameter) {
   EXPECT_EQ(resolve_family_text("torus").canonical(),
             "torus:width=8,height=8");
   EXPECT_EQ(resolve_family_text("torus:height=6").canonical(),
@@ -61,7 +63,7 @@ TEST(FamilySpec, CanonicalEncodingSpellsOutEveryParameter) {
   EXPECT_EQ(resolve_family_text("cycle:n=10").canonical(), "cycle:n=10");
 }
 
-TEST(FamilySpec, CanonicalEncodingRoundTrips) {
+TEST(FamilySelector, CanonicalEncodingRoundTrips) {
   for (const Family& family : family_registry()) {
     const FamilyInstanceSpec spec = resolve_family_text(family.name, 40);
     const FamilyInstanceSpec again = resolve_family_text(spec.canonical());
@@ -70,12 +72,12 @@ TEST(FamilySpec, CanonicalEncodingRoundTrips) {
   }
 }
 
-TEST(FamilySpec, ExplicitParametersOverrideSizeMapping) {
+TEST(FamilySelector, ExplicitParametersOverrideSizeMapping) {
   const FamilyInstanceSpec spec = resolve_family_text("cycle:n=9", 100);
   EXPECT_EQ(spec.value("n"), 9);
 }
 
-TEST(FamilySpec, SizeMappingSeesExplicitSiblingParameters) {
+TEST(FamilySelector, SizeMappingSeesExplicitSiblingParameters) {
   // The depth the mapping picks must be computed with the arity that will
   // actually build, not the default: at arity 3 a depth-4 tree has 121
   // nodes (> 100), so the largest fitting depth is 3 (40 nodes).
@@ -355,13 +357,30 @@ TEST(Bench, DocumentIsByteIdenticalAcrossThreadGrids) {
   EXPECT_EQ(serial.str(), pooled.str());
 }
 
-TEST(Bench, UnknownFamilyFailsTheRunButKeepsTheDocument) {
+TEST(Bench, SelectorErrorsThrowBeforeAnyCellRuns) {
   cli::BenchOptions bench;
   bench.families = {"cycle", "moebius"};
   std::ostringstream out;
+  EXPECT_THROW(cli::run_bench(bench, out), Error);
+  bench.families = {"cycle"};
+  bench.faults = "drop:per-mille=5000";
+  EXPECT_THROW(cli::run_bench(bench, out), Error);
+  EXPECT_EQ(out.str(), "");
+}
+
+TEST(Bench, BuildErrorsStayCellErrorsCarryingTheirMessageAlone) {
+  cli::BenchOptions bench;
+  bench.families = {"cycle", "random-regular:n=7,d=3"};
+  std::ostringstream out;
   EXPECT_EQ(cli::run_bench(bench, out), 1);
-  EXPECT_NE(out.str().find("\"error\""), std::string::npos);
-  EXPECT_NE(out.str().find("\"all_ok\": false"), std::string::npos);
+  const JsonValue doc = parse_json(out.str());
+  const std::vector<JsonValue>& cells = doc.find("cells")->items();
+  ASSERT_EQ(cells.size(), 2u);
+  EXPECT_EQ(cells[0].find("error"), nullptr);
+  ASSERT_NE(cells[1].find("error"), nullptr);
+  EXPECT_EQ(cells[1].find("error")->as_string(),
+            "n * d must be even for a d-regular graph");
+  EXPECT_FALSE(doc.find("all_ok")->as_bool());
 }
 
 TEST(Bench, TimingFieldsStayOutOfTheDefaultDocument) {

@@ -407,6 +407,19 @@ TEST(ResolveScenario, RejectsUnknownNamesAndUndeclaredSelectors) {
   EXPECT_EQ(rejection("table1-matrix", "cycle", ""), "none");
   EXPECT_EQ(rejection("family-workload", "cycle", ""), "none");
   EXPECT_EQ(rejection("fault-robustness", "torus", "chaos"), "none");
+  // Selectors that fail at every size: unknown names and parameters,
+  // malformed text and out-of-range explicit values.
+  EXPECT_EQ(rejection("family-workload", "nosuch", ""), "error");
+  EXPECT_EQ(rejection("table1-matrix", "cycle:girth=3", ""), "error");
+  EXPECT_EQ(rejection("family-workload", "cycle:n", ""), "error");
+  EXPECT_EQ(rejection("family-workload", "cycle:n=2", ""), "error");
+  EXPECT_EQ(rejection("fault-robustness", "", "nosuch"), "error");
+  EXPECT_EQ(rejection("fault-robustness", "", "drop:per-mille=5000"),
+            "error");
+  // A size mapping never overrides explicit values, so a selector that
+  // resolves at size 0 is not rejected up front.
+  EXPECT_EQ(rejection("fault-robustness", "cycle:n=5", "drop:attempts=2"),
+            "none");
   EXPECT_EQ(&cli::resolve_scenario("family-workload", "cycle", ""),
             cli::find_scenario("family-workload"));
 }
@@ -503,6 +516,14 @@ TEST(Routing, RunRequestErrorsMapToStatuses) {
     EXPECT_EQ(error_of(server.handle(
                   make_request("POST", path, R"({"scenario": "missing"})"))),
               resolver_message("missing", ""));
+    // A selector no size can resolve carries the selector resolver's text.
+    const HttpResponse unknown_family = server.handle(make_request(
+        "POST", path, R"({"scenario":"family-workload","family":"nosuch"})"));
+    EXPECT_EQ(unknown_family.status, 400) << path;
+    EXPECT_EQ(error_of(unknown_family),
+              resolver_message("family-workload", "nosuch"));
+    EXPECT_NE(error_of(unknown_family).find("unknown graph family"),
+              std::string::npos);
   }
   EXPECT_EQ(server.handle(make_request("POST", "/v1/run", "{bad")).status,
             400);
@@ -797,6 +818,14 @@ TEST(ServerSocket, StreamedSweepValidationFailuresAnswerBuffered) {
     EXPECT_EQ(r.head.find("Transfer-Encoding"), std::string::npos) << body;
     EXPECT_NE(r.body.find("does not take"), std::string::npos) << r.body;
   }
+  const ClientResponse bad_selector = request(
+      server.port(),
+      post("/v1/sweep", R"({"scenario": "fault-robustness",)"
+                        R"( "fault_profile": "nosuch", "sizes": [10]})"));
+  EXPECT_EQ(bad_selector.status, 400);
+  EXPECT_EQ(bad_selector.head.find("Transfer-Encoding"), std::string::npos);
+  EXPECT_NE(bad_selector.body.find("unknown fault profile"), std::string::npos)
+      << bad_selector.body;
   server.stop();
 }
 

@@ -26,15 +26,33 @@ TEST(Check, AssertThrowsBugError) {
   EXPECT_NO_THROW(LOCALD_ASSERT(true, "fine"));
 }
 
-TEST(Check, MessageCarriesLocationAndText) {
+TEST(Check, BugErrorCarriesLocationAndText) {
   try {
-    LOCALD_CHECK(1 == 2, "custom context");
+    LOCALD_ASSERT(1 == 2, "custom context");
     FAIL() << "expected a throw";
-  } catch (const Error& e) {
+  } catch (const BugError& e) {
     const std::string what = e.what();
     EXPECT_NE(what.find("1 == 2"), std::string::npos);
     EXPECT_NE(what.find("custom context"), std::string::npos);
     EXPECT_NE(what.find("test_support.cpp"), std::string::npos);
+  }
+}
+
+// A caller error reaches users verbatim (stderr, JSON error fields), so it
+// carries no source location: its text is its message, or the condition
+// when the message is empty.
+TEST(Check, ErrorEqualsItsMessage) {
+  try {
+    LOCALD_CHECK(1 == 2, "custom context");
+    FAIL() << "expected a throw";
+  } catch (const Error& e) {
+    EXPECT_EQ(std::string(e.what()), "custom context");
+  }
+  try {
+    LOCALD_CHECK(1 == 2, "");
+    FAIL() << "expected a throw";
+  } catch (const Error& e) {
+    EXPECT_EQ(std::string(e.what()), "1 == 2");
   }
 }
 
