@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <cstring>
 #include <functional>
 #include <numeric>
 #include <optional>
@@ -10,6 +11,7 @@
 
 #include "exec/thread_pool.h"
 #include "graph/ball_slice.h"
+#include "graph/census_internal.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "support/hash.h"
@@ -511,55 +513,62 @@ std::vector<std::string> slice_payloads(
   return out;
 }
 
-// Streaming FNV-1a over the exact extracted structure (local adjacency,
-// centre position, payload bytes). Equal slices always hash equal; a
-// collision between distinct slices is caught by the verification pass.
-class Fnv {
+// One multiply–xorshift step per 64-bit word, over the exact extracted
+// structure (size, centre, payload bytes eight at a time, local adjacency
+// two 32-bit entries at a time). Words are read in native byte order, so
+// the value is not portable across platforms; it never needs to be: slots
+// are ordered by first node and a collision falls back to exact keys.
+class WordHash {
  public:
+  void word(std::uint64_t w) {
+    h_ = (h_ ^ w) * 0x9e3779b97f4a7c15ULL;
+    h_ ^= h_ >> 32;
+  }
+  void pair(std::uint32_t lo, std::uint32_t hi) {
+    word(lo | static_cast<std::uint64_t>(hi) << 32);
+  }
+  template <typename T>
+  void words32(const T* data, std::size_t count) {
+    static_assert(sizeof(T) == 4);
+    std::size_t i = 0;
+    for (; i + 1 < count; i += 2) {
+      pair(static_cast<std::uint32_t>(data[i]),
+           static_cast<std::uint32_t>(data[i + 1]));
+    }
+    if (i < count) {
+      word(static_cast<std::uint32_t>(data[i]));
+    }
+  }
   void bytes(const char* data, std::size_t size) {
-    for (std::size_t i = 0; i < size; ++i) {
-      h_ ^= static_cast<unsigned char>(data[i]);
-      h_ *= 1099511628211ULL;
+    std::uint64_t w = 0;
+    std::size_t i = 0;
+    for (; i + 8 <= size; i += 8) {
+      std::memcpy(&w, data + i, 8);
+      word(w);
+    }
+    if (i < size) {
+      w = 0;
+      std::memcpy(&w, data + i, size - i);
+      word(w);
     }
   }
-  void u64(std::uint64_t v) {
-    for (int i = 0; i < 8; ++i) {
-      h_ ^= (v >> (8 * i)) & 0xff;
-      h_ *= 1099511628211ULL;
-    }
+  // splitmix64's finalizer, so every output bit depends on every word.
+  std::uint64_t value() const {
+    std::uint64_t h = h_;
+    h = (h ^ (h >> 30)) * 0xbf58476d1ce4e5b9ULL;
+    h = (h ^ (h >> 27)) * 0x94d049bb133111ebULL;
+    return h ^ (h >> 31);
   }
-  std::uint64_t value() const { return h_; }
 
  private:
-  std::uint64_t h_ = 14695981039346656037ULL;
+  std::uint64_t h_ = 0x243f6a8885a308d3ULL;
 };
 
-std::uint64_t slice_hash(const BallSlice& s,
-                         const std::vector<std::string>& host_payloads) {
-  Fnv fnv;
-  fnv.u64(static_cast<std::uint64_t>(s.local.n));
-  fnv.u64(static_cast<std::uint64_t>(s.center));
-  for (NodeId v = 0; v < s.local.n; ++v) {
-    const std::string& p =
-        host_payloads[static_cast<std::size_t>(s.to_host[v])];
-    fnv.u64(p.size());
-    fnv.bytes(p.data(), p.size());
-  }
-  if (s.local.n > 0) {
-    for (NodeId v = 0; v <= s.local.n; ++v) {
-      fnv.u64(s.local.offsets[v]);
-    }
-    for (EdgeIndex e = 0; e < s.local.offsets[s.local.n]; ++e) {
-      fnv.u64(static_cast<std::uint64_t>(s.local.adj[e]));
-    }
-  }
-  return fnv.value();
-}
-
 // Exact structural equality of two extracted slices (same local adjacency
-// bytes, same centre, same payload bytes node for node).
+// bytes, same centre, same payload bytes node for node; null `payloads`
+// means every host node carries the same bytes).
 bool slices_equal(const BallSlice& a, const BallSlice& b,
-                  const std::vector<std::string>& host_payloads) {
+                  const std::vector<std::string>* payloads) {
   if (a.local.n != b.local.n || a.center != b.center) {
     return false;
   }
@@ -574,13 +583,65 @@ bool slices_equal(const BallSlice& a, const BallSlice& b,
                   b.local.adj)) {
     return false;
   }
+  if (payloads == nullptr) {
+    return true;
+  }
   for (NodeId v = 0; v < n; ++v) {
-    if (host_payloads[static_cast<std::size_t>(a.to_host[v])] !=
-        host_payloads[static_cast<std::size_t>(b.to_host[v])]) {
+    if ((*payloads)[static_cast<std::size_t>(a.to_host[v])] !=
+        (*payloads)[static_cast<std::size_t>(b.to_host[v])]) {
       return false;
     }
   }
   return true;
+}
+
+// 32-bit words a slice occupies once copied out of scratch (an extracted
+// ball always holds its centre, so n >= 1).
+std::size_t slice_words(const BallSlice& s) {
+  return 2 * static_cast<std::size_t>(s.local.n) + 1 +
+         s.local.offsets[s.local.n];
+}
+
+// Slices copied out of scratch into flat arrays, so they outlive the next
+// extraction.
+class SliceArena {
+ public:
+  std::size_t words() const { return offsets_.size() + nodes_.size(); }
+
+  // Copies `s` in; returns its index for view().
+  std::uint32_t add(const BallSlice& s) {
+    const NodeId n = s.local.n;
+    entries_.push_back({offsets_.size(), nodes_.size(), n, s.center});
+    offsets_.insert(offsets_.end(), s.local.offsets, s.local.offsets + n + 1);
+    nodes_.insert(nodes_.end(), s.local.adj, s.local.adj + s.local.offsets[n]);
+    nodes_.insert(nodes_.end(), s.to_host, s.to_host + n);
+    return static_cast<std::uint32_t>(entries_.size() - 1);
+  }
+
+  BallSlice view(std::uint32_t k, int radius) const {
+    const Entry& e = entries_[k];
+    const EdgeIndex* offsets = offsets_.data() + e.offsets;
+    const NodeId* adj = nodes_.data() + e.nodes;
+    return BallSlice{CsrSpan{e.n, offsets, adj}, adj + offsets[e.n], e.center,
+                     radius};
+  }
+
+ private:
+  struct Entry {
+    std::size_t offsets = 0;
+    std::size_t nodes = 0;
+    NodeId n = 0;
+    NodeId center = 0;
+  };
+  std::vector<EdgeIndex> offsets_;
+  std::vector<NodeId> nodes_;  // per entry: adjacency, then local -> host
+  std::vector<Entry> entries_;
+};
+
+// The one extraction arena each thread's census work shares.
+BallScratch& census_scratch() {
+  thread_local BallScratch scratch;
+  return scratch;
 }
 
 }  // namespace
@@ -653,10 +714,31 @@ std::string wl_certificate(CsrSpan g,
   return cert;
 }
 
-BallCensusResult canonical_census(const CsrGraph& host,
+namespace census_detail {
+
+std::uint64_t slice_hash(const BallSlice& s,
+                         const std::vector<std::string>* payloads) {
+  WordHash h;
+  h.pair(static_cast<std::uint32_t>(s.local.n),
+         static_cast<std::uint32_t>(s.center));
+  if (payloads != nullptr) {
+    for (NodeId v = 0; v < s.local.n; ++v) {
+      const std::string& p =
+          (*payloads)[static_cast<std::size_t>(s.to_host[v])];
+      h.word(p.size());
+      h.bytes(p.data(), p.size());
+    }
+  }
+  h.words32(s.local.offsets, static_cast<std::size_t>(s.local.n) + 1);
+  h.words32(s.local.adj, s.local.offsets[s.local.n]);
+  return h.value();
+}
+
+BallCensusResult census_with_hash(const CsrGraph& host,
                                   const std::vector<std::string>& payloads,
                                   int radius, exec::ThreadPool* pool,
-                                  std::size_t max_leaves) {
+                                  std::size_t max_leaves, SliceHash hash,
+                                  CensusPaths* paths) {
   LOCALD_CHECK(payloads.size() == static_cast<std::size_t>(host.node_count()),
                "one payload required per host node");
   LOCALD_CHECK(radius >= 0, "radius must be non-negative");
@@ -669,99 +751,156 @@ BallCensusResult canonical_census(const CsrGraph& host,
     return result;
   }
   obs::Span census_span("ball-census", "balls=" + std::to_string(n));
-
-  // Stage 1 (parallel): stream every ball through a structural hash. The
-  // slice lives in a per-thread arena; nothing per-node is materialized
-  // beyond the 8-byte hash.
-  std::vector<std::uint64_t> hash(n);
-  {
-    obs::Span span("census-extract-hash");
-    run_indexed(pool, n, [&](std::size_t i) {
-      thread_local BallScratch scratch;
-      hash[i] = slice_hash(
-          scratch.extract(hs, static_cast<NodeId>(i), radius), payloads);
-    });
-  }
-
-  // Tentative dedup in node order (scheduling-independent): group by hash.
-  std::vector<NodeId> representative;
-  std::vector<std::size_t> slot(n);
-  {
-    std::unordered_map<std::uint64_t, std::size_t> slot_of_hash;
-    slot_of_hash.reserve(n / 4 + 16);
-    for (std::size_t i = 0; i < n; ++i) {
-      const auto [it, inserted] =
-          slot_of_hash.emplace(hash[i], representative.size());
-      if (inserted) {
-        representative.push_back(static_cast<NodeId>(i));
-      }
-      slot[i] = it->second;
-    }
-  }
-
-  // Verification (parallel): every non-representative must be structurally
-  // identical to its slot's representative — a failed check means two
-  // distinct structures collided in the 64-bit hash. Representatives of
-  // multi-member slots are materialized once up front (owned copies of
-  // the slice arrays), so each duplicate costs ONE extraction instead of
-  // re-extracting its representative alongside — on dedup-heavy censuses
-  // (symmetric families, where every ball is the whole graph) that is a
-  // third of all extraction work. Single-member slots verify nothing and
-  // materialize nothing.
-  struct RepSlice {
-    std::vector<EdgeIndex> offsets;
-    std::vector<NodeId> adj;
-    std::vector<NodeId> to_host;
-    NodeId n = 0;
-    NodeId center = 0;
-  };
   // One stage span at a time, re-aimed as the census advances; emplace/reset
   // keeps sibling stages from nesting into each other.
   std::optional<obs::Span> stage_span;
-  stage_span.emplace("census-dedup-verify");
-  std::vector<std::uint32_t> slot_members(representative.size(), 0);
-  for (std::size_t i = 0; i < n; ++i) {
-    ++slot_members[slot[i]];
-  }
-  std::vector<RepSlice> rep_slice(representative.size());
-  run_indexed(pool, representative.size(), [&](std::size_t k) {
-    if (slot_members[k] < 2) {
-      return;
-    }
-    thread_local BallScratch scratch;
-    const BallSlice s = scratch.extract(hs, representative[k], radius);
-    RepSlice& out = rep_slice[k];
-    out.n = s.local.n;
-    out.center = s.center;
-    out.offsets.assign(s.local.offsets, s.local.offsets + s.local.n + 1);
-    out.adj.assign(s.local.adj, s.local.adj + s.local.offsets[s.local.n]);
-    out.to_host.assign(s.to_host, s.to_host + s.local.n);
-  });
+  stage_span.emplace("census-extract-hash");
+
+  // Payloads every host node shares tell no two balls apart, so hashing
+  // and comparing skip them.
+  const bool uniform =
+      std::all_of(payloads.begin(), payloads.end(),
+                  [&](const std::string& p) { return p == payloads[0]; });
+  const std::vector<std::string>* labels = uniform ? nullptr : &payloads;
+
+  // Stage 1 (parallel over fixed node blocks): extract each ball once, hash
+  // it, and give it a block-local slot per distinct hash, in node order.
+  // The first ball of each slot is copied out as the block's witness while
+  // the block's witness words allow; every later ball of that slot is
+  // compared with the witness at once, while its slice is still in
+  // scratch. Witnesses and balls of slots too large to hold are deferred.
+  // Which comparisons run depends on the block size alone, never on who
+  // ran which block.
+  constexpr std::uint32_t kUnheld = ~std::uint32_t{0};
+  struct Block {
+    std::vector<std::uint64_t> hash;   // per local slot
+    std::vector<NodeId> first;         // first node of each local slot
+    std::vector<NodeId> deferred;      // witnesses and unheld balls
+    std::vector<std::uint32_t> slot;   // local slot -> global slot
+  };
+  const std::size_t block_count = (n + kBlockNodes - 1) / kBlockNodes;
+  std::vector<Block> blocks(block_count);
+  std::vector<std::uint32_t> slot(n);  // block-local until regrouped
   std::atomic<bool> collision{false};
-  run_indexed(pool, n, [&](std::size_t i) {
-    const NodeId rep = representative[slot[i]];
-    if (rep == static_cast<NodeId>(i) ||
-        collision.load(std::memory_order_relaxed)) {
-      return;
-    }
-    thread_local BallScratch mine;
-    const BallSlice a = mine.extract(hs, static_cast<NodeId>(i), radius);
-    const RepSlice& r = rep_slice[slot[i]];
-    const BallSlice b{CsrSpan{r.n, r.offsets.data(), r.adj.data()},
-                      r.to_host.data(), r.center, radius};
-    if (!slices_equal(a, b, payloads)) {
-      collision.store(true, std::memory_order_relaxed);
+  run_indexed(pool, block_count, [&](std::size_t b) {
+    Block& out = blocks[b];
+    std::unordered_map<std::uint64_t, std::uint32_t> local_slot;
+    std::vector<std::uint32_t> witness;  // per local slot: arena index
+    SliceArena arena;
+    BallScratch& scratch = census_scratch();
+    const std::size_t end = std::min(n, (b + 1) * kBlockNodes);
+    for (std::size_t i = b * kBlockNodes; i < end; ++i) {
+      if (collision.load(std::memory_order_relaxed)) {
+        return;
+      }
+      const auto v = static_cast<NodeId>(i);
+      const BallSlice s = scratch.extract(hs, v, radius);
+      const auto [it, inserted] = local_slot.emplace(
+          hash(s, labels), static_cast<std::uint32_t>(out.hash.size()));
+      slot[i] = it->second;
+      if (inserted) {
+        out.hash.push_back(it->first);
+        out.first.push_back(v);
+        out.deferred.push_back(v);
+        witness.push_back(arena.words() + slice_words(s) <= kWitnessWords
+                              ? arena.add(s)
+                              : kUnheld);
+      } else if (witness[it->second] == kUnheld) {
+        out.deferred.push_back(v);
+      } else if (!slices_equal(s, arena.view(witness[it->second], radius),
+                               labels)) {
+        collision.store(true, std::memory_order_relaxed);
+        return;
+      }
     }
   });
+  const bool stage1_mismatch = collision.load();
+
+  // Group by hash in node order (scheduling-independent): blocks in order,
+  // each block's slots in first-occurrence order.
+  std::vector<NodeId> representative;
+  if (!stage1_mismatch) {
+    std::unordered_map<std::uint64_t, std::uint32_t> slot_of_hash;
+    for (Block& block : blocks) {
+      block.slot.reserve(block.hash.size());
+      for (std::size_t k = 0; k < block.hash.size(); ++k) {
+        const auto [it, inserted] = slot_of_hash.emplace(
+            block.hash[k], static_cast<std::uint32_t>(representative.size()));
+        if (inserted) {
+          representative.push_back(block.first[k]);
+        }
+        block.slot.push_back(it->second);
+      }
+    }
+    run_indexed(pool, block_count, [&](std::size_t b) {
+      const std::size_t end = std::min(n, (b + 1) * kBlockNodes);
+      for (std::size_t i = b * kBlockNodes; i < end; ++i) {
+        slot[i] = blocks[b].slot[slot[i]];
+      }
+    });
+  }
+
+  // Deferred checks (parallel): equality is transitive, so only witnesses
+  // that are not their slot's representative, and unheld balls, still need
+  // comparing with the representative. Each such representative is
+  // materialized once.
+  stage_span.reset();
+  stage_span.emplace("census-dedup-verify");
+  std::size_t deferred_checks = 0;
+  if (!stage1_mismatch) {
+    struct Check {
+      std::uint32_t slot;  // global slot, then index into `reps`
+      NodeId node;
+    };
+    std::vector<Check> checks;
+    for (const Block& block : blocks) {
+      for (NodeId v : block.deferred) {
+        const std::uint32_t k = slot[static_cast<std::size_t>(v)];
+        if (representative[k] != v) {
+          checks.push_back({k, v});
+        }
+      }
+    }
+    deferred_checks = checks.size();
+    std::stable_sort(
+        checks.begin(), checks.end(),
+        [](const Check& a, const Check& b) { return a.slot < b.slot; });
+    std::vector<NodeId> rep_nodes;
+    for (Check& c : checks) {
+      if (rep_nodes.empty() || rep_nodes.back() != representative[c.slot]) {
+        rep_nodes.push_back(representative[c.slot]);
+      }
+      c.slot = static_cast<std::uint32_t>(rep_nodes.size() - 1);
+    }
+    std::vector<SliceArena> reps(rep_nodes.size());
+    run_indexed(pool, rep_nodes.size(), [&](std::size_t k) {
+      reps[k].add(census_scratch().extract(hs, rep_nodes[k], radius));
+    });
+    run_indexed(pool, checks.size(), [&](std::size_t k) {
+      if (collision.load(std::memory_order_relaxed)) {
+        return;
+      }
+      const BallSlice a = census_scratch().extract(hs, checks[k].node, radius);
+      if (!slices_equal(a, reps[checks[k].slot].view(0, radius), labels)) {
+        collision.store(true, std::memory_order_relaxed);
+      }
+    });
+  }
+  blocks.clear();
+  blocks.shrink_to_fit();
+  if (paths != nullptr) {
+    paths->deferred_checks = deferred_checks;
+    paths->stage1_mismatch = stage1_mismatch;
+    paths->deferred_mismatch = !stage1_mismatch && collision.load();
+  }
   if (collision.load()) {
     // Vanishingly rare (two distinct structures sharing a 64-bit hash).
     // Fall back to grouping the whole census by exact serialized keys —
     // deterministic, just memory-heavier.
     std::vector<std::string> raw(n);
     run_indexed(pool, n, [&](std::size_t i) {
-      thread_local BallScratch scratch;
       const BallSlice s =
-          scratch.extract(hs, static_cast<NodeId>(i), radius);
+          census_scratch().extract(hs, static_cast<NodeId>(i), radius);
       std::string key;
       key += std::to_string(s.local.n);
       key += "|";
@@ -789,10 +928,10 @@ BallCensusResult canonical_census(const CsrGraph& host,
       raw[i] = std::move(key);
     });
     representative.clear();
-    std::unordered_map<std::string_view, std::size_t> slot_of_key;
+    std::unordered_map<std::string_view, std::uint32_t> slot_of_key;
     for (std::size_t i = 0; i < n; ++i) {
-      const auto [it, inserted] =
-          slot_of_key.emplace(raw[i], representative.size());
+      const auto [it, inserted] = slot_of_key.emplace(
+          raw[i], static_cast<std::uint32_t>(representative.size()));
       if (inserted) {
         representative.push_back(static_cast<NodeId>(i));
       }
@@ -810,8 +949,8 @@ BallCensusResult canonical_census(const CsrGraph& host,
                      "unique=" + std::to_string(representative.size()));
   std::vector<std::string> encodings(representative.size());
   run_indexed(pool, representative.size(), [&](std::size_t k) {
-    thread_local BallScratch scratch;
-    const BallSlice s = scratch.extract(hs, representative[k], radius);
+    const BallSlice s =
+        census_scratch().extract(hs, representative[k], radius);
     encodings[k] =
         canonical_form(s.local, slice_payloads(s, payloads), max_leaves)
             .encoding;
@@ -841,6 +980,16 @@ BallCensusResult canonical_census(const CsrGraph& host,
     result.class_of[i] = class_of_slot[slot[i]];
   }
   return result;
+}
+
+}  // namespace census_detail
+
+BallCensusResult canonical_census(const CsrGraph& host,
+                                  const std::vector<std::string>& payloads,
+                                  int radius, exec::ThreadPool* pool,
+                                  std::size_t max_leaves) {
+  return census_detail::census_with_hash(host, payloads, radius, pool,
+                                         max_leaves, census_detail::slice_hash);
 }
 
 CanonicalizationCounters canonicalization_counters() {

@@ -34,13 +34,18 @@
 //
 // `canonical_census` is the bulk API: one call canonicalizes the radius-t
 // ball of every host node. Balls are extracted as zero-copy slices from
-// per-thread `BallScratch` arenas, deduplicated by a streamed structural
-// hash (no per-node key strings — the census holds O(classes) encodings,
-// not O(n), which is what lets it run at 10^6–10^7 host nodes), and each
-// distinct structure is canonicalized exactly once — parallelized over the
-// exec `ThreadPool` with byte-identical output at any thread count. Census
-// encodings agree byte-for-byte with per-ball `canonical_form` on
-// centre-marked payloads.
+// per-thread `BallScratch` arenas, deduplicated by a structural hash that
+// takes one 64-bit word per step (no per-node key strings — the census
+// holds O(classes) encodings, not O(n), which is what lets it run at
+// 10^6–10^7 host nodes), and each distinct structure is canonicalized
+// exactly once — parallelized over the exec `ThreadPool` with
+// byte-identical output at any thread count. Each ball is extracted once
+// and verified while it is hashed: fixed blocks of consecutive nodes keep
+// the first ball per hash as a witness, and later same-hash balls of the
+// block are compared with it on the spot. Only the witnesses that are not
+// their group's first ball, and the balls too large to hold, are compared
+// with that first ball afterwards. Census encodings agree byte-for-byte
+// with per-ball `canonical_form` on centre-marked payloads.
 //
 // The tier-2 search is intended for the small graphs this project compares
 // (balls, fragments); the census host graph can be millions of nodes.
