@@ -174,14 +174,4 @@ std::vector<QuadrantResult> evaluate_separation_matrix(
   return out;
 }
 
-std::string render_matrix(const std::vector<QuadrantResult>& results) {
-  TextTable table({"quadrant", "LD* vs LD", "witness", "evidence"});
-  for (const auto& q : results) {
-    table.add_row({q.quadrant,
-                   q.separated ? "!=" : (q.equal ? "=" : "inconclusive"),
-                   q.witness, q.evidence});
-  }
-  return table.render();
-}
-
 }  // namespace locald::core

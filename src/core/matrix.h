@@ -39,7 +39,4 @@ std::vector<QuadrantResult> evaluate_separation_matrix(
     std::uint64_t seed, const exec::ExecContext& ctx = {},
     int a_star_instances = 0, const InstanceSource& instances = nullptr);
 
-// Rendered like the paper's table.
-std::string render_matrix(const std::vector<QuadrantResult>& results);
-
 }  // namespace locald::core

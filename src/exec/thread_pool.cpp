@@ -11,23 +11,7 @@ namespace {
 // re-enter a pool that is busy running it.
 thread_local bool t_inside_loop = false;
 
-// Process-wide activity counters (across all pool instances). Relaxed adds:
-// these feed only the observability surfaces.
-std::atomic<std::uint64_t> g_loops{0};
-std::atomic<std::uint64_t> g_inline_loops{0};
-std::atomic<std::uint64_t> g_chunks{0};
-std::atomic<std::uint64_t> g_steals{0};
-
 }  // namespace
-
-ThreadPool::ActivityCounters ThreadPool::activity() {
-  ActivityCounters c;
-  c.loops = g_loops.load(std::memory_order_relaxed);
-  c.inline_loops = g_inline_loops.load(std::memory_order_relaxed);
-  c.chunks = g_chunks.load(std::memory_order_relaxed);
-  c.steals = g_steals.load(std::memory_order_relaxed);
-  return c;
-}
 
 int ThreadPool::hardware_parallelism() {
   const unsigned n = std::thread::hardware_concurrency();
@@ -66,14 +50,12 @@ void ThreadPool::parallel_for(std::size_t n,
     return;
   }
   if (workers_.empty() || t_inside_loop || n == 1) {
-    g_inline_loops.fetch_add(1, std::memory_order_relaxed);
     for (std::size_t i = 0; i < n; ++i) {
       fn(i);
     }
     return;
   }
 
-  g_loops.fetch_add(1, std::memory_order_relaxed);
   std::lock_guard<std::mutex> submit(submit_mu_);
   const std::size_t executors = queues_.size();
   // A few chunks per executor so stealing has something to grab; never
@@ -150,7 +132,6 @@ bool ThreadPool::try_pop(std::size_t self, Chunk& out) {
     if (!victim.chunks.empty()) {
       out = victim.chunks.front();  // FIFO: steal the range farthest from
       victim.chunks.pop_front();    // the victim's working end
-      g_steals.fetch_add(1, std::memory_order_relaxed);
       return true;
     }
   }
@@ -184,7 +165,6 @@ void ThreadPool::run_chunks(std::size_t self) {
   while (chunks_remaining_.load(std::memory_order_acquire) > 0 &&
          try_pop(self, chunk)) {
     execute(chunk);
-    g_chunks.fetch_add(1, std::memory_order_relaxed);
     if (chunks_remaining_.fetch_sub(1, std::memory_order_acq_rel) == 1) {
       std::lock_guard<std::mutex> lk(done_mu_);
       done_cv_.notify_all();

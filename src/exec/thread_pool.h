@@ -55,17 +55,6 @@ class ThreadPool {
   // when called from inside another parallel_for of any pool.
   void parallel_for(std::size_t n, const std::function<void(std::size_t)>& fn);
 
-  // Process-wide pool activity, summed across every pool instance. Exported
-  // to the metrics registry (locald_pool_*); pure observability — nothing
-  // reads these to make decisions.
-  struct ActivityCounters {
-    std::uint64_t loops = 0;          // parallel_for calls that fanned out
-    std::uint64_t inline_loops = 0;   // calls that ran serially instead
-    std::uint64_t chunks = 0;         // chunks executed by any executor
-    std::uint64_t steals = 0;         // chunks popped from a victim's deque
-  };
-  static ActivityCounters activity();
-
  private:
   struct Chunk {
     std::size_t begin = 0;

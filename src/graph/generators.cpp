@@ -42,16 +42,6 @@ CsrGraph make_complete(NodeId n) {
   return CsrGraph::from_edges(n, edges);
 }
 
-CsrGraph make_star(NodeId leaves) {
-  LOCALD_CHECK(leaves >= 0, "negative leaf count");
-  EdgeList edges;
-  edges.reserve(static_cast<std::size_t>(leaves));
-  for (NodeId v = 1; v <= leaves; ++v) {
-    edges.emplace_back(0, v);
-  }
-  return CsrGraph::from_edges(leaves + 1, edges);
-}
-
 CsrGraph make_complete_bipartite(NodeId a, NodeId b) {
   LOCALD_CHECK(a >= 1 && b >= 1, "both parts need at least one node");
   EdgeList edges;
@@ -98,18 +88,6 @@ CsrGraph make_torus(NodeId width, NodeId height) {
     }
   }
   return CsrGraph::from_edges(width * height, edges);
-}
-
-CsrGraph make_complete_binary_tree(int depth) {
-  LOCALD_CHECK(depth >= 0 && depth <= 29, "tree depth out of supported range");
-  const NodeId n = static_cast<NodeId>((1LL << (depth + 1)) - 1);
-  EdgeList edges;
-  edges.reserve(static_cast<std::size_t>(n));
-  for (NodeId v = 0; 2 * v + 2 < n; ++v) {
-    edges.emplace_back(v, 2 * v + 1);
-    edges.emplace_back(v, 2 * v + 2);
-  }
-  return CsrGraph::from_edges(n, edges);
 }
 
 CsrGraph make_balanced_tree(NodeId arity, int depth) {

@@ -1,9 +1,9 @@
 // Deterministic graph family generators.
 //
 // These back the instance families of the paper's experiments: cycles for
-// the promise problems, grids for Turing-machine execution tables, complete
-// binary / layered trees for the Section-2 construction, plus generic
-// families used by tests, benchmarks, and the gen/ workload generator.
+// the promise problems, grids for Turing-machine execution tables, layered
+// trees for the Section-2 construction, plus generic families used by
+// tests, benchmarks, and the gen/ workload generator.
 //
 // Every builder emits an edge list and returns the immutable `CsrGraph`
 // that `CsrGraph::from_edges` freezes from it — one counting pass and one
@@ -38,9 +38,9 @@ inline constexpr std::uint64_t kStreamRandomRegular = 0x04;
 CsrGraph make_path(NodeId n);
 CsrGraph make_cycle(NodeId n);        // n >= 3
 CsrGraph make_complete(NodeId n);
-CsrGraph make_star(NodeId leaves);    // node 0 is the hub
 
-// K_{a,b}: parts {0..a-1} and {a..a+b-1}, every cross pair joined.
+// K_{a,b}: parts {0..a-1} and {a..a+b-1}, every cross pair joined. K_{1,n}
+// is the n-leaf star with hub 0.
 CsrGraph make_complete_bipartite(NodeId a, NodeId b);
 
 // width x height grid; node (x, y) has id y * width + x.
@@ -49,13 +49,9 @@ CsrGraph make_grid(NodeId width, NodeId height);
 // Same, with wraparound edges in both dimensions (requires dim >= 3).
 CsrGraph make_torus(NodeId width, NodeId height);
 
-// Complete binary tree of `depth` levels below the root
-// (2^(depth+1) - 1 nodes). Heap indexing: children of v are 2v+1, 2v+2.
-CsrGraph make_complete_binary_tree(int depth);
-
 // Complete `arity`-ary tree of `depth` levels below the root, heap-indexed:
-// children of v are arity*v + 1 .. arity*v + arity. arity = 2, depth = d is
-// exactly make_complete_binary_tree(d).
+// children of v are arity*v + 1 .. arity*v + arity. arity = 2 is the
+// complete binary tree (2^(depth+1) - 1 nodes; children of v are 2v+1, 2v+2).
 CsrGraph make_balanced_tree(NodeId arity, int depth);
 
 // Caterpillar: a spine path of `spine` nodes (ids 0..spine-1), each spine

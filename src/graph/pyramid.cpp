@@ -26,17 +26,6 @@ NodeId PyramidIndexer::id(int x, int y, int z) const {
          static_cast<NodeId>(y) * s + x;
 }
 
-PyramidIndexer::Position PyramidIndexer::position(NodeId v) const {
-  LOCALD_CHECK(v >= 0 && v < total_, "pyramid node out of range");
-  int z = h_;
-  while (level_offset_[static_cast<std::size_t>(z)] > v) {
-    --z;
-  }
-  const NodeId rel = v - level_offset_[static_cast<std::size_t>(z)];
-  const int s = side(z);
-  return Position{static_cast<int>(rel) % s, static_cast<int>(rel) / s, z};
-}
-
 CsrGraph build_pyramid(const PyramidIndexer& indexer) {
   EdgeList edges;
   edges.reserve(3 * static_cast<std::size_t>(indexer.node_count()));

@@ -33,13 +33,6 @@ class PyramidIndexer {
   NodeId id(int x, int y, int z) const;
   NodeId apex() const { return id(0, 0, h_); }
 
-  struct Position {
-    int x = 0;
-    int y = 0;
-    int z = 0;
-  };
-  Position position(NodeId v) const;
-
  private:
   int h_;
   std::vector<NodeId> level_offset_;

@@ -109,11 +109,6 @@ bool separation_accepts(const local::LocalAlgorithm& oblivious_candidate,
   return true;
 }
 
-std::unique_ptr<local::LocalAlgorithm> candidate_always_yes() {
-  return local::make_oblivious("candidate-always-yes", 2,
-                               [](const BallView&) { return Verdict::yes; });
-}
-
 std::unique_ptr<local::LocalAlgorithm> candidate_structure_only(
     int fragment_size, tm::FragmentPolicy policy, bool pyramidal,
     long long step_budget) {

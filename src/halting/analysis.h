@@ -57,8 +57,6 @@ bool separation_accepts(const local::LocalAlgorithm& oblivious_candidate,
 
 // ---- candidate suite ---------------------------------------------------------
 
-std::unique_ptr<local::LocalAlgorithm> candidate_always_yes();
-
 // The structure verifier alone (ignores M's output entirely).
 std::unique_ptr<local::LocalAlgorithm> candidate_structure_only(
     int fragment_size, tm::FragmentPolicy policy, bool pyramidal,

@@ -45,21 +45,6 @@ graph::CanonicalForm BallView::canonical_form() const {
   return form;
 }
 
-Ball Ball::without_ids() const {
-  Ball out = *this;
-  out.ids.reset();
-  return out;
-}
-
-Ball Ball::with_ids(std::vector<Id> new_ids) const {
-  LOCALD_CHECK(new_ids.size() == static_cast<std::size_t>(g.node_count()),
-               "one id per ball node");
-  check_one_to_one(new_ids);
-  Ball out = *this;
-  out.ids = std::move(new_ids);
-  return out;
-}
-
 Ball BallView::materialize() const {
   const auto n = static_cast<std::size_t>(g.node_count());
   Ball out;

@@ -152,12 +152,6 @@ struct Ball {
   Id center_id() const { return id_of(center); }
   const Label& center_label() const { return label(center); }
 
-  // Same ball with identifiers removed (owning copy).
-  Ball without_ids() const;
-
-  // Same ball with identifiers replaced (owning copy; validated).
-  Ball with_ids(std::vector<Id> new_ids) const;
-
   std::string canonical_encoding() const { return view().canonical_encoding(); }
   std::uint64_t canonical_fingerprint() const {
     return view().canonical_fingerprint();

@@ -1,6 +1,5 @@
 #include "local/identifiers.h"
 
-#include <algorithm>
 #include <unordered_set>
 
 #include "support/check.h"
@@ -21,45 +20,12 @@ Id IdAssignment::of(graph::NodeId v) const {
   return ids_[static_cast<std::size_t>(v)];
 }
 
-Id IdAssignment::max_id() const {
-  LOCALD_CHECK(!ids_.empty(), "empty assignment has no max id");
-  return *std::max_element(ids_.begin(), ids_.end());
-}
-
 IdBound::IdBound(std::string name, std::function<Id(Id)> f)
     : name_(std::move(name)), f_(std::move(f)) {}
-
-Id IdBound::inverse(Id i) const {
-  // Smallest j with f(j) >= i. f is monotone, so gallop then bisect.
-  if (f_(0) >= i) {
-    return 0;
-  }
-  Id lo = 0;
-  Id hi = 1;
-  while (f_(hi) < i) {
-    lo = hi;
-    LOCALD_CHECK(hi < (Id{1} << 62), "IdBound::inverse overflow");
-    hi *= 2;
-  }
-  while (lo + 1 < hi) {
-    const Id mid = lo + (hi - lo) / 2;
-    if (f_(mid) >= i) {
-      hi = mid;
-    } else {
-      lo = mid;
-    }
-  }
-  return hi;
-}
 
 IdBound IdBound::linear_plus(Id k) {
   return IdBound("n+" + std::to_string(k),
                  [k](Id n) { return n + k; });
-}
-
-IdBound IdBound::scaled(Id c) {
-  LOCALD_CHECK(c >= 1, "scale must be at least 1");
-  return IdBound(std::to_string(c) + "n", [c](Id n) { return c * n; });
 }
 
 IdBound IdBound::quadratic() {
@@ -71,15 +37,6 @@ IdAssignment make_consecutive(graph::NodeId n) {
   for (graph::NodeId v = 0; v < n; ++v) {
     ids[static_cast<std::size_t>(v)] = static_cast<Id>(v);
   }
-  return IdAssignment(std::move(ids));
-}
-
-IdAssignment make_random_permutation(graph::NodeId n, Rng& rng) {
-  std::vector<Id> ids(static_cast<std::size_t>(n));
-  for (graph::NodeId v = 0; v < n; ++v) {
-    ids[static_cast<std::size_t>(v)] = static_cast<Id>(v);
-  }
-  rng.shuffle(ids);
   return IdAssignment(std::move(ids));
 }
 
@@ -96,16 +53,6 @@ IdAssignment make_random_unbounded(graph::NodeId n, Id universe, Rng& rng) {
                "universe too small for a one-to-one assignment");
   return IdAssignment(rng.sample_distinct(universe,
                                           static_cast<std::size_t>(n)));
-}
-
-bool respects_bound(const IdAssignment& ids, const IdBound& f) {
-  const Id limit = f(static_cast<Id>(ids.node_count()));
-  for (Id id : ids.raw()) {
-    if (id >= limit) {
-      return false;
-    }
-  }
-  return true;
 }
 
 }  // namespace locald::local

@@ -3,8 +3,7 @@
 //
 // Under (B) there is a function f with Id(v) < f(n) on every n-node input;
 // the paper's Section-2 separation hinges on identifiers leaking a lower
-// bound on n precisely because f pins them down. `IdBound` carries such an f
-// together with the inverse the paper writes f^{-1}(i) = min{ j : f(j) >= i }.
+// bound on n precisely because f pins them down. `IdBound` carries such an f.
 #pragma once
 
 #include <cstdint>
@@ -30,7 +29,6 @@ class IdAssignment {
   }
 
   Id of(graph::NodeId v) const;
-  Id max_id() const;
 
   const std::vector<Id>& raw() const { return ids_; }
 
@@ -47,14 +45,9 @@ class IdBound {
   const std::string& name() const { return name_; }
   Id operator()(Id n) const { return f_(n); }
 
-  // f^{-1}(i): smallest j with f(j) >= i; found by doubling + binary search.
-  Id inverse(Id i) const;
-
   // f(n) = n + k. k = 1 is the tightest legal bound: ids are a permutation
   // of a subset of [0, n].
   static IdBound linear_plus(Id k);
-  // f(n) = c * n.
-  static IdBound scaled(Id c);
   // f(n) = n^2 + 1.
   static IdBound quadratic();
 
@@ -66,17 +59,11 @@ class IdBound {
 // ids 0..n-1 in node order — the minimal assignment.
 IdAssignment make_consecutive(graph::NodeId n);
 
-// ids 0..n-1 randomly permuted.
-IdAssignment make_random_permutation(graph::NodeId n, Rng& rng);
-
 // n distinct ids drawn uniformly from [0, f(n)) — assumption (B).
 IdAssignment make_random_bounded(graph::NodeId n, const IdBound& f, Rng& rng);
 
 // n distinct ids from [0, universe) for a large caller-chosen universe —
 // the finite stand-in for assumption (¬B).
 IdAssignment make_random_unbounded(graph::NodeId n, Id universe, Rng& rng);
-
-// Does the assignment satisfy Id(v) < f(n)?
-bool respects_bound(const IdAssignment& ids, const IdBound& f);
 
 }  // namespace locald::local

@@ -11,7 +11,7 @@ namespace {
 // Ball::canonical_encoding(): the census centre-marks ("C"/"N" prefixes)
 // the label payloads exactly as Ball does, so prefixing the radius yields
 // the identical encoding — and hence the identical fingerprint — that
-// add_ball/contains compute one ball at a time.
+// BallView::canonical_fingerprint() computes one ball at a time.
 std::vector<std::uint64_t> ball_fingerprints(const LabeledGraph& g, int radius,
                                              const exec::ExecContext& ctx) {
   std::vector<std::string> payloads;
@@ -42,21 +42,7 @@ void BallProfile::add_graph(const LabeledGraph& g,
                             const exec::ExecContext& ctx) {
   for (const std::uint64_t fp : ball_fingerprints(g, radius_, ctx)) {
     fingerprints_.insert(fp);
-    ++balls_seen_;
   }
-}
-
-void BallProfile::add_ball(const BallView& ball) {
-  LOCALD_CHECK(!ball.has_ids(),
-               "ball profiles aggregate Id-oblivious (stripped) balls");
-  LOCALD_CHECK(ball.radius == radius_, "ball radius mismatch");
-  fingerprints_.insert(ball.canonical_fingerprint());
-  ++balls_seen_;
-}
-
-bool BallProfile::contains(const BallView& ball) const {
-  LOCALD_CHECK(!ball.has_ids(), "profile queries use stripped balls");
-  return contains(ball.canonical_fingerprint());
 }
 
 BallProfile BallProfile::of_graph(const LabeledGraph& g, int radius) {

@@ -35,27 +35,18 @@ class BallProfile {
   // Adds the stripped ball of every node of `g`, routed through the bulk
   // census (graph/isomorphism.h) — isomorphic balls canonicalize once, and
   // canonicalizations fan over `ctx.pool` when one is set. Fingerprints are
-  // identical to per-ball add_ball at any thread count.
+  // each stripped ball's `canonical_fingerprint()` at any thread count.
   void add_graph(const LabeledGraph& g, const exec::ExecContext& ctx = {});
-
-  // Adds one ball (must be stripped and of matching radius).
-  void add_ball(const BallView& ball);
 
   bool contains(std::uint64_t fingerprint) const {
     return fingerprints_.contains(fingerprint);
   }
-
-  bool contains(const BallView& ball) const;
-
-  std::size_t distinct_balls() const { return fingerprints_.size(); }
-  std::size_t balls_seen() const { return balls_seen_; }
 
   static BallProfile of_graph(const LabeledGraph& g, int radius);
 
  private:
   int radius_;
   std::unordered_set<std::uint64_t> fingerprints_;
-  std::size_t balls_seen_ = 0;
 };
 
 struct AuditResult {

@@ -14,12 +14,6 @@ IdPolicy bounded_policy(IdBound f) {
   };
 }
 
-IdPolicy unbounded_policy(Id universe) {
-  return [universe](graph::NodeId n, Rng& rng) {
-    return make_random_unbounded(n, universe, rng);
-  };
-}
-
 DeciderReport evaluate_decider(const LocalAlgorithm& alg,
                                const Property& property,
                                const std::vector<LabeledGraph>& instances,

@@ -45,7 +45,6 @@ using IdPolicy = std::function<IdAssignment(graph::NodeId n, Rng& rng)>;
 
 IdPolicy consecutive_policy();
 IdPolicy bounded_policy(IdBound f);
-IdPolicy unbounded_policy(Id universe);
 
 struct DeciderFailure {
   std::size_t instance_index = 0;

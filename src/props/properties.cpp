@@ -1,6 +1,5 @@
 #include "props/properties.h"
 
-#include "graph/algorithms.h"
 #include "support/format.h"
 
 namespace locald::props {
@@ -48,101 +47,6 @@ std::unique_ptr<local::LocalAlgorithm> proper_coloring_decider(int k) {
         }
         return Verdict::yes;
       });
-}
-
-std::unique_ptr<local::Property> mis_property() {
-  return std::make_unique<LambdaProperty>(
-      "maximal-independent-set", [](const LabeledGraph& g) {
-        for (graph::NodeId v = 0; v < g.node_count(); ++v) {
-          if (g.label(v).size() < 1) return false;
-          const auto x = g.label(v).at(0);
-          if (x != 0 && x != 1) return false;
-        }
-        for (graph::NodeId v = 0; v < g.node_count(); ++v) {
-          const bool in = g.label(v).at(0) == 1;
-          bool neighbor_in = false;
-          for (graph::NodeId w : g.graph().neighbors(v)) {
-            if (g.label(w).at(0) == 1) {
-              neighbor_in = true;
-              if (in) return false;  // independence violated
-            }
-          }
-          if (!in && !neighbor_in) return false;  // maximality violated
-        }
-        return true;
-      });
-}
-
-std::unique_ptr<local::LocalAlgorithm> mis_decider() {
-  return local::make_oblivious("decide-mis", 1, [](const BallView& ball) {
-    if (ball.center_label().size() < 1) return Verdict::no;
-    const auto x = ball.center_label().at(0);
-    if (x != 0 && x != 1) return Verdict::no;
-    bool neighbor_in = false;
-    for (graph::NodeId w : ball.g.neighbors(ball.center)) {
-      const auto y = field0(ball, w);
-      if (y != 0 && y != 1) return Verdict::no;
-      if (y == 1) {
-        neighbor_in = true;
-      }
-    }
-    if (x == 1 && neighbor_in) return Verdict::no;   // not independent
-    if (x == 0 && !neighbor_in) return Verdict::no;  // not maximal
-    return Verdict::yes;
-  });
-}
-
-std::unique_ptr<local::Property> agreement_property() {
-  return std::make_unique<LambdaProperty>(
-      "label-agreement", [](const LabeledGraph& g) {
-        for (graph::NodeId v = 0; v < g.node_count(); ++v) {
-          if (g.label(v).size() < 1) return false;
-          if (g.label(v).at(0) != g.label(0).at(0)) return false;
-        }
-        return g.node_count() > 0;
-      });
-}
-
-std::unique_ptr<local::LocalAlgorithm> agreement_decider() {
-  return local::make_oblivious("decide-agreement", 1, [](const BallView& ball) {
-    if (ball.center_label().size() < 1) return Verdict::no;
-    const auto x = ball.center_label().at(0);
-    for (graph::NodeId w : ball.g.neighbors(ball.center)) {
-      if (field0(ball, w) != x) return Verdict::no;
-    }
-    return Verdict::yes;
-  });
-}
-
-std::unique_ptr<local::Property> bounded_degree_property(int d) {
-  LOCALD_CHECK(d >= 0, "degree bound must be non-negative");
-  return std::make_unique<LambdaProperty>(
-      cat("max-degree-", d), [d](const LabeledGraph& g) {
-        return g.graph().max_degree() <= d;
-      });
-}
-
-std::unique_ptr<local::LocalAlgorithm> bounded_degree_decider(int d) {
-  LOCALD_CHECK(d >= 0, "degree bound must be non-negative");
-  return local::make_oblivious(
-      cat("decide-max-degree-", d), 1, [d](const BallView& ball) {
-        return ball.g.degree(ball.center) <= d ? Verdict::yes : Verdict::no;
-      });
-}
-
-std::unique_ptr<local::Property> cycle_property() {
-  return std::make_unique<LambdaProperty>("is-cycle", [](const LabeledGraph& g) {
-    return graph::is_cycle_graph(g.graph());
-  });
-}
-
-std::unique_ptr<local::LocalAlgorithm> cycle_decider() {
-  return local::make_oblivious("decide-is-cycle", 1, [](const BallView& ball) {
-    // Degree exactly 2 everywhere characterizes cycles among connected
-    // graphs (the paper's standing promise); also rule out the triangle-free
-    // violation of a doubled edge via simplicity of Graph.
-    return ball.g.degree(ball.center) == 2 ? Verdict::yes : Verdict::no;
-  });
 }
 
 }  // namespace locald::props

@@ -1,14 +1,12 @@
-// Example labelled-graph properties (Section 1.2's examples) with paired
-// global oracles and Id-oblivious local deciders.
+// The example labelled-graph property of Section 1.2 (proper colouring) with
+// its global oracle and Id-oblivious local decider.
 //
-// These serve three purposes: they are the quickstart material for the
-// library, they exercise the decision framework in tests, and they are the
-// LD* baselines — properties where identifiers are provably unnecessary —
-// against which the paper's identifier-hungry properties stand out.
+// It is the quickstart material for the library, the LD* baseline of the
+// Section-1.1 matrix — a property where identifiers are provably
+// unnecessary — and a sample Id-oblivious decider for tests.
 //
-// Label conventions are documented per property; all deciders here are
-// Id-oblivious and have horizon 1 (a radius-1 ball includes the edges among
-// the centre's neighbours).
+// The decider is Id-oblivious and has horizon 1 (a radius-1 ball includes
+// the edges among the centre's neighbours).
 #pragma once
 
 #include <memory>
@@ -22,24 +20,5 @@ namespace locald::props {
 // with colours in [0, k).
 std::unique_ptr<local::Property> proper_coloring_property(int k);
 std::unique_ptr<local::LocalAlgorithm> proper_coloring_decider(int k);
-
-// x(v) in {0, 1} (field 0). Member iff the 1-nodes form a maximal
-// independent set.
-std::unique_ptr<local::Property> mis_property();
-std::unique_ptr<local::LocalAlgorithm> mis_decider();
-
-// Member iff all nodes carry the same field-0 value. Locally decidable on
-// connected inputs: disagreement must occur across some edge.
-std::unique_ptr<local::Property> agreement_property();
-std::unique_ptr<local::LocalAlgorithm> agreement_decider();
-
-// Member iff every degree is at most d (labels ignored).
-std::unique_ptr<local::Property> bounded_degree_property(int d);
-std::unique_ptr<local::LocalAlgorithm> bounded_degree_decider(int d);
-
-// Member iff G is a cycle (labels ignored). Under the paper's connectivity
-// promise "every node has degree exactly 2" decides this locally.
-std::unique_ptr<local::Property> cycle_property();
-std::unique_ptr<local::LocalAlgorithm> cycle_decider();
 
 }  // namespace locald::props

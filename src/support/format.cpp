@@ -7,16 +7,6 @@
 
 namespace locald {
 
-std::string join(const std::vector<std::string>& parts,
-                 const std::string& sep) {
-  std::string out;
-  for (std::size_t i = 0; i < parts.size(); ++i) {
-    if (i > 0) out += sep;
-    out += parts[i];
-  }
-  return out;
-}
-
 std::optional<std::int64_t> parse_int(const std::string& text) {
   if (text.empty()) {
     return std::nullopt;
@@ -146,8 +136,6 @@ void JsonWriter::value(std::uint64_t v) { write_scalar(std::to_string(v)); }
 void JsonWriter::value(double v, int digits) {
   write_scalar(fixed(v, digits));
 }
-void JsonWriter::null_value() { write_scalar("null"); }
-
 TextTable::TextTable(std::vector<std::string> header)
     : header_(std::move(header)) {
   LOCALD_CHECK(!header_.empty(), "table needs at least one column");

@@ -24,9 +24,6 @@ std::string cat(const Args&... args) {
   return os.str();
 }
 
-std::string join(const std::vector<std::string>& parts,
-                 const std::string& sep);
-
 // Strict base-10 integer parse: the whole string must be consumed, or
 // nullopt. The one integer reader behind CLI flag values and family
 // selector parameters, so the two surfaces cannot drift.
@@ -73,7 +70,6 @@ class JsonWriter {
   void value(std::int64_t v);
   void value(std::uint64_t v);
   void value(double v, int digits);
-  void null_value();
 
   // True once the root value is closed; nothing further may be written.
   bool complete() const { return root_written_ && stack_.empty(); }

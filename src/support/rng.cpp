@@ -76,10 +76,6 @@ int Rng::coin_tosses_until_head() {
   return tosses;
 }
 
-Rng Rng::split() {
-  return Rng(next_u64());
-}
-
 Rng Rng::stream(std::uint64_t seed, std::uint64_t hi, std::uint64_t lo) {
   // Fold the counters into the splitmix sequence one at a time so that
   // (seed, hi, lo) triples differing in any coordinate diverge immediately;

@@ -36,11 +36,6 @@ class Rng {
   // the geometric draw used by the Corollary-1 decider.
   int coin_tosses_until_head();
 
-  // Derive an independent child generator; used to give each simulated node
-  // its own stream without correlating them. Stateful: the child depends on
-  // how much of this generator was consumed before the call.
-  Rng split();
-
   // Counter-based stream derivation: the generator for logical stream
   // (hi, lo) under `seed`, independent of any generator state or call
   // order. This is what makes the parallel execution engine

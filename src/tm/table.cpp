@@ -53,16 +53,6 @@ int ExecutionTable::cell(int x, int y) const {
   return cells_[static_cast<std::size_t>(y) * width_ + x];
 }
 
-int ExecutionTable::head_column(int y) const {
-  for (int x = 0; x < width_; ++x) {
-    if (machine_->cell_has_head(cell(x, y))) {
-      return x;
-    }
-  }
-  LOCALD_ASSERT(false, "table row has no head");
-  return -1;
-}
-
 std::string ExecutionTable::to_string() const {
   std::ostringstream os;
   for (int y = 0; y < height_; ++y) {

@@ -37,9 +37,6 @@ class ExecutionTable {
   // Step at which the machine halted, if it did within the table.
   std::optional<long long> halting_step() const { return halting_step_; }
 
-  // Row index -> head column (each genuine row has exactly one head).
-  int head_column(int y) const;
-
   std::string to_string() const;  // ASCII art for debugging/examples
 
  private:

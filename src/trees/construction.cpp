@@ -72,14 +72,6 @@ bool Patch::contains(Coord x, Coord y) const {
   return x >= left(j) && x <= right(j);
 }
 
-std::int64_t Patch::node_count() const {
-  std::int64_t total = 0;
-  for (int j = 0; j <= r; ++j) {
-    total += right(j) - left(j) + 1;
-  }
-  return total;
-}
-
 bool Patch::valid(const TreeParams& p) const {
   if (r != p.r || y0 < 0) {
     return false;

@@ -84,7 +84,6 @@ struct Patch {
   Coord width() const { return bottom_right - bottom_left + 1; }
 
   bool contains(Coord x, Coord y) const;
-  std::int64_t node_count() const;
 
   // Structural validity against the parameters (bounds, width cap).
   bool valid(const TreeParams& p) const;

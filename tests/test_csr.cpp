@@ -41,7 +41,7 @@ std::vector<CsrGraph> sample_graphs() {
   graphs.push_back(make_path(7));
   graphs.push_back(make_cycle(8));
   graphs.push_back(make_complete(5));
-  graphs.push_back(make_star(6));
+  graphs.push_back(make_complete_bipartite(1, 6));
   graphs.push_back(make_random_connected(40, 25, 901));
   graphs.push_back(make_random_tree(30, 902));
   graphs.push_back(make_random_gnp(25, 0.2, 903));
@@ -68,7 +68,7 @@ CsrGraph make_two_hubs(NodeId per_hub, NodeId stride) {
 // instance has layers of both kinds.
 std::vector<CsrGraph> hub_graphs() {
   std::vector<CsrGraph> graphs;
-  graphs.push_back(make_star(250));
+  graphs.push_back(make_complete_bipartite(1, 250));
   std::vector<std::pair<NodeId, NodeId>> star_tail;  // tail 200-201-...-205
   for (NodeId leaf = 1; leaf <= 200; ++leaf) {
     star_tail.emplace_back(0, leaf);

@@ -54,10 +54,10 @@ std::vector<graph::CsrGraph> topologies() {
   std::vector<graph::CsrGraph> out;
   out.push_back(graph::make_cycle(9));
   out.push_back(graph::make_path(7));
-  out.push_back(graph::make_star(5));
+  out.push_back(graph::make_complete_bipartite(1, 5));
   out.push_back(graph::make_complete(5));
   out.push_back(graph::make_grid(3, 4));
-  out.push_back(graph::make_complete_binary_tree(3));
+  out.push_back(graph::make_balanced_tree(2, 3));
   return out;
 }
 

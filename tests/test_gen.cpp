@@ -220,9 +220,13 @@ TEST(Families, CompleteBipartiteMatchesTheOracle) {
   }
 }
 
-TEST(Families, BalancedTreeGeneralizesTheBinaryBuilder) {
-  EXPECT_EQ(graph::make_balanced_tree(2, 3).edges(),
-            graph::make_complete_binary_tree(3).edges());
+TEST(Families, BalancedTreeIsHeapIndexed) {
+  graph::EdgeList binary;  // children of v are 2v + 1 and 2v + 2
+  for (graph::NodeId v = 0; 2 * v + 2 < 15; ++v) {
+    binary.emplace_back(v, 2 * v + 1);
+    binary.emplace_back(v, 2 * v + 2);
+  }
+  EXPECT_EQ(graph::make_balanced_tree(2, 3).edges(), binary);
   const graph::CsrGraph t = graph::make_balanced_tree(3, 2);
   EXPECT_EQ(t.node_count(), 13);  // 1 + 3 + 9
   EXPECT_TRUE(graph::is_tree(t));

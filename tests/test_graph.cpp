@@ -1,5 +1,5 @@
 // Unit and property tests for the graph substrate: construction invariants,
-// traversals, generator families, induced subgraphs, IO round trips.
+// traversals, generator families, induced subgraphs, edge-list text.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -91,23 +91,8 @@ TEST(Algorithms, NodesWithinMatchesBfs) {
   }
 }
 
-TEST(Algorithms, ConnectivityAndComponents) {
-  const CsrGraph g = CsrGraph::from_edges(5, {{0, 1}, {2, 3}});
-  EXPECT_FALSE(is_connected(g));
-  int count = 0;
-  const auto comp = connected_components(g, &count);
-  EXPECT_EQ(count, 3);
-  EXPECT_EQ(comp[0], comp[1]);
-  EXPECT_EQ(comp[2], comp[3]);
-  EXPECT_NE(comp[0], comp[2]);
-  EXPECT_NE(comp[4], comp[0]);
-}
-
-TEST(Algorithms, DiameterOfCycleAndPath) {
-  EXPECT_EQ(diameter(make_cycle(8)), 4);
-  EXPECT_EQ(diameter(make_cycle(9)), 4);
-  EXPECT_EQ(diameter(make_path(7)), 6);
-  EXPECT_EQ(diameter(make_complete(5)), 1);
+TEST(Algorithms, Connectivity) {
+  EXPECT_FALSE(is_connected(CsrGraph::from_edges(5, {{0, 1}, {2, 3}})));
 }
 
 TEST(Algorithms, BipartiteFamilies) {
@@ -120,28 +105,9 @@ TEST(Algorithms, BipartiteFamilies) {
   EXPECT_FALSE(is_bipartite(make_layered_tree(2)));
 }
 
-TEST(Algorithms, ShortestPathEndpointsAndLength) {
-  const CsrGraph g = make_grid(5, 5);
-  const auto p = shortest_path(g, 0, 24);
-  ASSERT_TRUE(p.has_value());
-  EXPECT_EQ(p->front(), 0);
-  EXPECT_EQ(p->back(), 24);
-  EXPECT_EQ(p->size(), 9u);  // 8 hops manhattan distance
-  for (std::size_t i = 0; i + 1 < p->size(); ++i) {
-    EXPECT_TRUE(g.has_edge((*p)[i], (*p)[i + 1]));
-  }
-}
-
-TEST(Algorithms, ShortestPathUnreachable) {
-  EXPECT_FALSE(
-      shortest_path(CsrGraph::from_edges(3, {{0, 1}}), 0, 2).has_value());
-}
-
 TEST(Algorithms, TopologyRecognizers) {
   EXPECT_TRUE(is_cycle_graph(make_cycle(5)));
   EXPECT_FALSE(is_cycle_graph(make_path(5)));
-  EXPECT_TRUE(is_path_graph(make_path(5)));
-  EXPECT_FALSE(is_path_graph(make_cycle(5)));
   EXPECT_TRUE(is_tree(make_random_tree(20, 3)));
   EXPECT_FALSE(is_tree(make_cycle(4)));
 }
@@ -169,8 +135,8 @@ TEST(Generators, TorusIsFourRegular) {
   EXPECT_THROW(make_torus(2, 5), Error);
 }
 
-TEST(Generators, CompleteBinaryTreeShape) {
-  const CsrGraph g = make_complete_binary_tree(3);
+TEST(Generators, BinaryBalancedTreeShape) {
+  const CsrGraph g = make_balanced_tree(2, 3);
   EXPECT_EQ(g.node_count(), 15);
   EXPECT_TRUE(is_tree(g));
   EXPECT_EQ(g.degree(0), 2);
@@ -251,39 +217,10 @@ TEST(Induced, RejectsDuplicates) {
   EXPECT_THROW(induced_subgraph(g, {0, 0}), Error);
 }
 
-TEST(Io, EdgeListRoundTrip) {
-  const CsrGraph g = make_random_connected(25, 12, 123);
-  const CsrGraph h = from_edge_list(to_edge_list(g));
-  EXPECT_EQ(g, h);
-}
-
-TEST(Io, EdgeListKeepsIsolatedNodesViaMinNodes) {
-  EXPECT_EQ(from_edge_list("").node_count(), 0);
-  const CsrGraph g = from_edge_list("0 1\n", 4);
-  EXPECT_EQ(g.node_count(), 4);
-  EXPECT_EQ(g.edge_count(), 1u);
-}
-
-TEST(Io, EdgeListRejectsMalformedText) {
-  // A bad token mid-file used to end the parse silently at "0 1".
-  EXPECT_THROW(from_edge_list("0 1\n1 x\n2 3"), Error);
-  // A dangling id used to be dropped.
-  EXPECT_THROW(from_edge_list("0 1\n2"), Error);
-  EXPECT_THROW(from_edge_list("0 1.5\n"), Error);
-  EXPECT_THROW(from_edge_list("0 -1\n"), Error);
-}
-
-TEST(Io, EdgeListRejectsWhatToEdgeListNeverEmits) {
-  EXPECT_THROW(from_edge_list("0 1\n0 1\n"), Error);  // duplicate
-  EXPECT_THROW(from_edge_list("0 1\n1 0\n"), Error);  // reversed duplicate
-  EXPECT_THROW(from_edge_list("2 2\n"), Error);        // loop
-}
-
-TEST(Io, DotContainsNodesAndEdges) {
-  const CsrGraph g = make_path(3);
-  const std::string dot = to_dot(g, {"a", "b", "c"});
-  EXPECT_NE(dot.find("n0 -- n1"), std::string::npos);
-  EXPECT_NE(dot.find("label=\"b\""), std::string::npos);
+TEST(Io, EdgeListIsSortedPairs) {
+  const CsrGraph g = CsrGraph::from_edges(4, {{3, 1}, {0, 2}, {1, 0}});
+  EXPECT_EQ(to_edge_list(g), "0 1\n0 2\n1 3\n");
+  EXPECT_EQ(to_edge_list(CsrGraph::from_edges(2, {})), "");
 }
 
 // Parameterized sweep: generator families keep their defining invariants
@@ -296,7 +233,6 @@ TEST_P(CycleSweep, CycleInvariants) {
   EXPECT_EQ(g.node_count(), n);
   EXPECT_EQ(g.edge_count(), static_cast<std::size_t>(n));
   EXPECT_TRUE(is_cycle_graph(g));
-  EXPECT_EQ(diameter(g), n / 2);
 }
 
 INSTANTIATE_TEST_SUITE_P(Sizes, CycleSweep,

@@ -47,15 +47,13 @@ GmrParams make_params(tm::TuringMachine m, std::size_t cap = 400) {
   return p;
 }
 
-TEST(Pyramid, IndexerCountsAndPositions) {
+TEST(Pyramid, IndexerCountsAndIds) {
   const PyramidIndexer idx(2);  // 4x4 + 2x2 + 1
   EXPECT_EQ(idx.node_count(), 16 + 4 + 1);
   EXPECT_EQ(idx.side(0), 4);
   EXPECT_EQ(idx.side(2), 1);
-  const auto pos = idx.position(idx.id(3, 1, 0));
-  EXPECT_EQ(pos.x, 3);
-  EXPECT_EQ(pos.y, 1);
-  EXPECT_EQ(pos.z, 0);
+  EXPECT_EQ(idx.id(3, 1, 0), 1 * 4 + 3);       // level 0, row-major
+  EXPECT_EQ(idx.id(1, 1, 1), 16 + 1 * 2 + 1);  // after the 16 level-0 ids
   EXPECT_EQ(idx.apex(), idx.id(0, 0, 2));
 }
 
@@ -294,7 +292,9 @@ TEST(Separation, EveryComputableCandidateIsFooled) {
   const tm::FragmentPolicy policy = small_policy(150);
   std::vector<std::pair<std::string,
                         std::unique_ptr<local::LocalAlgorithm>>> candidates;
-  candidates.emplace_back("always-yes", candidate_always_yes());
+  const auto yes = [](const local::BallView&) { return Verdict::yes; };
+  candidates.emplace_back("always-yes",
+                          local::make_oblivious("always-yes", 2, yes));
   candidates.emplace_back("structure-only",
                           candidate_structure_only(3, policy, false, 4096));
   candidates.emplace_back(

@@ -140,7 +140,7 @@ TEST(Canonical, OrderIsValidPermutation) {
 
 TEST(Canonical, TreeVsLayeredTreeDiffer) {
   EXPECT_FALSE(
-      isomorphic(make_complete_binary_tree(3), make_layered_tree(3)));
+      isomorphic(make_balanced_tree(2, 3), make_layered_tree(3)));
 }
 
 // The audit machinery depends on this: a grid and a torus of the same size

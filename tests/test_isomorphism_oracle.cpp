@@ -458,7 +458,7 @@ TEST(OrbitPruning, StarBallsCompleteUnderTightBudgets) {
   // twin-pruned search visits ONE leaf.
   Rng rng(9);
   for (const NodeId k : {7, 16, 64, 200}) {
-    const CsrGraph star = make_star(k);
+    const CsrGraph star = make_complete_bipartite(1, k);
     CanonicalStats stats;
     const auto base =
         canonical_form(star, blank(star), /*max_leaves=*/4, &stats);
@@ -468,7 +468,7 @@ TEST(OrbitPruning, StarBallsCompleteUnderTightBudgets) {
               base.encoding);
   }
   // Centre-marked star balls (the census shape) behave identically.
-  const CsrGraph star = make_star(32);
+  const CsrGraph star = make_complete_bipartite(1, 32);
   std::vector<std::string> payloads(33, "N");
   payloads[0] = "C";
   CanonicalStats stats;

@@ -3,7 +3,7 @@
 // obliviousness, ball profiles and the indistinguishability auditor.
 #include <gtest/gtest.h>
 
-#include <set>
+#include <algorithm>
 
 #include "graph/generators.h"
 #include "local/ball.h"
@@ -65,14 +65,10 @@ TEST(Identifiers, OneToOneEnforced) {
   EXPECT_THROW(IdAssignment({3, 1, 3}), Error);
 }
 
-TEST(Identifiers, ConsecutiveAndPermutation) {
+TEST(Identifiers, Consecutive) {
   const auto c = make_consecutive(4);
   EXPECT_EQ(c.of(2), 2u);
-  EXPECT_EQ(c.max_id(), 3u);
-  Rng rng(1);
-  const auto p = make_random_permutation(5, rng);
-  std::set<Id> seen(p.raw().begin(), p.raw().end());
-  EXPECT_EQ(seen, (std::set<Id>{0, 1, 2, 3, 4}));
+  EXPECT_EQ(c.raw(), (std::vector<Id>{0, 1, 2, 3}));
 }
 
 TEST(Identifiers, BoundedPolicyRespectsBound) {
@@ -80,8 +76,7 @@ TEST(Identifiers, BoundedPolicyRespectsBound) {
   const IdBound f = IdBound::linear_plus(1);
   for (int trial = 0; trial < 20; ++trial) {
     const auto ids = make_random_bounded(10, f, rng);
-    EXPECT_TRUE(respects_bound(ids, f));
-    EXPECT_LE(ids.max_id(), 10u);
+    EXPECT_LT(std::ranges::max(ids.raw()), f(10));  // Id(v) < f(n) = 11
   }
 }
 
@@ -90,17 +85,7 @@ TEST(Identifiers, UnboundedCanExceedAnyLinearBound) {
   const auto ids = make_random_unbounded(4, 1'000'000'000, rng);
   EXPECT_EQ(ids.node_count(), 4);
   // With a billion-sized universe the chance all four ids are < 8 is nil.
-  EXPECT_FALSE(respects_bound(ids, IdBound::linear_plus(4)));
-}
-
-TEST(Identifiers, InverseOfBound) {
-  const IdBound f = IdBound::quadratic();  // f(n) = n^2 + 1
-  // inverse(i) = smallest j with j^2 + 1 >= i
-  EXPECT_EQ(f.inverse(0), 0u);
-  EXPECT_EQ(f.inverse(2), 1u);
-  EXPECT_EQ(f.inverse(5), 2u);
-  EXPECT_EQ(f.inverse(10), 3u);
-  EXPECT_EQ(f.inverse(10001), 100u);
+  EXPECT_GE(std::ranges::max(ids.raw()), IdBound::linear_plus(4)(4));
 }
 
 TEST(Ball, ExtractionRadiusZero) {
@@ -127,7 +112,7 @@ TEST(Ball, IdsCarriedAndStripped) {
   const Ball b = extract_ball(g, &ids, 1, 1);
   ASSERT_TRUE(b.has_ids());
   EXPECT_EQ(b.center_id(), 20u);
-  const Ball stripped = b.without_ids();
+  const BallView stripped = b.view().without_ids();
   EXPECT_FALSE(stripped.has_ids());
   EXPECT_EQ(stripped.node_count(), b.node_count());
 }
@@ -135,9 +120,10 @@ TEST(Ball, IdsCarriedAndStripped) {
 TEST(Ball, WithIdsValidates) {
   LabeledGraph g = LabeledGraph::uniform(make_path(3), Label{});
   const Ball b = extract_ball(g, nullptr, 1, 1);
-  EXPECT_THROW(b.with_ids({1, 1, 2}), Error);
-  EXPECT_THROW(b.with_ids({1, 2}), Error);
-  const Ball c = b.with_ids({5, 6, 7});
+  EXPECT_THROW(b.view().with_ids({1, 1, 2}), Error);
+  EXPECT_THROW(b.view().with_ids({1, 2}), Error);
+  const std::vector<Id> fresh{5, 6, 7};
+  const BallView c = b.view().with_ids(fresh);
   EXPECT_TRUE(c.has_ids());
 }
 
@@ -174,11 +160,12 @@ TEST(Ball, CanonicalEncodingSeparatesIds) {
   LabeledGraph g = LabeledGraph::uniform(make_path(3), Label{});
   const IdAssignment i1({1, 2, 3});
   const IdAssignment i2({1, 2, 4});
-  EXPECT_NE(extract_ball(g, &i1, 1, 1).canonical_encoding(),
-            extract_ball(g, &i2, 1, 1).canonical_encoding());
+  const Ball b1 = extract_ball(g, &i1, 1, 1);
+  const Ball b2 = extract_ball(g, &i2, 1, 1);
+  EXPECT_NE(b1.canonical_encoding(), b2.canonical_encoding());
   // ...but stripped balls agree.
-  EXPECT_EQ(extract_ball(g, &i1, 1, 1).without_ids().canonical_encoding(),
-            extract_ball(g, &i2, 1, 1).without_ids().canonical_encoding());
+  EXPECT_EQ(b1.view().without_ids().canonical_encoding(),
+            b2.view().without_ids().canonical_encoding());
 }
 
 TEST(Simulator, AcceptsIffAllNodesYes) {
@@ -305,19 +292,6 @@ TEST(BallProfile, DetectsDistinguishableInstances) {
   EXPECT_FALSE(audit.indistinguishable());
   EXPECT_GE(audit.missing, 2u);  // both endpoints
   EXPECT_FALSE(audit.missing_witnesses.empty());
-}
-
-TEST(BallProfile, RejectsIdCarryingBalls) {
-  LabeledGraph g = LabeledGraph::uniform(make_path(3), Label{});
-  const IdAssignment ids({1, 2, 3});
-  BallProfile profile(1);
-  EXPECT_THROW(profile.add_ball(extract_ball(g, &ids, 0, 1)), Error);
-}
-
-TEST(BallProfile, RadiusMismatchRejected) {
-  LabeledGraph g = LabeledGraph::uniform(make_path(3), Label{});
-  BallProfile profile(2);
-  EXPECT_THROW(profile.add_ball(extract_ball(g, nullptr, 0, 1)), Error);
 }
 
 // Grid vs torus: radius-1 balls of the torus interior match grid interiors,

@@ -21,7 +21,7 @@ using local::Verdict;
 
 TEST(Simulation, RejectsObliviousInner) {
   auto inner = std::shared_ptr<const local::LocalAlgorithm>(
-      props::mis_decider().release());
+      props::proper_coloring_decider(2).release());
   EXPECT_THROW(make_oblivious_simulation(inner), Error);
 }
 

@@ -1,5 +1,5 @@
-// Tests for the example properties: oracle correctness and oracle/decider
-// agreement over deterministic and randomized instance families.
+// Tests for the example property (proper colouring): oracle correctness and
+// oracle/decider agreement over deterministic and randomized instances.
 #include <gtest/gtest.h>
 
 #include "graph/generators.h"
@@ -10,10 +10,8 @@
 namespace locald::props {
 namespace {
 
-using local::IdAssignment;
 using local::LabeledGraph;
 using local::Label;
-using local::make_consecutive;
 
 LabeledGraph colored_cycle(graph::NodeId n, const std::vector<int>& colors) {
   LabeledGraph g = LabeledGraph::uniform(graph::make_cycle(n), Label{});
@@ -55,79 +53,7 @@ TEST(Coloring, DeciderAgreesWithOracle) {
   EXPECT_TRUE(report.all_correct()) << report.failures.size() << " failures";
 }
 
-TEST(Mis, OracleChecksIndependenceAndMaximality) {
-  const auto prop = mis_property();
-  // Path 0-1-2-3: {0,2} is maximal independent... node 3 has neighbour 2 in
-  // the set, nodes 1 has 0 and 2. Valid.
-  LabeledGraph ok(graph::make_path(4),
-                  {Label{1}, Label{0}, Label{1}, Label{0}});
-  EXPECT_TRUE(prop->contains(ok));
-  // {0,1} adjacent: not independent.
-  LabeledGraph dep(graph::make_path(4),
-                   {Label{1}, Label{1}, Label{0}, Label{1}});
-  EXPECT_FALSE(prop->contains(dep));
-  // {0}: node 2 and 3 uncovered -> not maximal.
-  LabeledGraph notmax(graph::make_path(4),
-                      {Label{1}, Label{0}, Label{0}, Label{0}});
-  EXPECT_FALSE(prop->contains(notmax));
-  // Labels outside {0,1} rejected.
-  LabeledGraph bad(graph::make_path(2), {Label{2}, Label{1}});
-  EXPECT_FALSE(prop->contains(bad));
-}
-
-TEST(Mis, DeciderAgreesWithOracleOnRandomBitLabellings) {
-  const auto prop = mis_property();
-  const auto dec = mis_decider();
-  locald::Rng rng(22);
-  std::vector<LabeledGraph> instances;
-  for (int trial = 0; trial < 30; ++trial) {
-    LabeledGraph g(graph::make_random_connected(
-        10, 5, 2200 + static_cast<std::uint64_t>(trial)));
-    for (graph::NodeId v = 0; v < g.node_count(); ++v) {
-      g.set_label(v, Label{static_cast<std::int64_t>(rng.below(2))});
-    }
-    instances.push_back(std::move(g));
-  }
-  const auto report = local::evaluate_decider(
-      *dec, *prop, instances, local::consecutive_policy(), 1, rng);
-  EXPECT_TRUE(report.all_correct());
-}
-
-TEST(Agreement, DetectsDisagreementAcrossSomeEdge) {
-  const auto prop = agreement_property();
-  const auto dec = agreement_decider();
-  LabeledGraph agree = LabeledGraph::uniform(graph::make_cycle(5), Label{4});
-  EXPECT_TRUE(prop->contains(agree));
-  EXPECT_TRUE(local::run_oblivious(*dec, agree).accepted);
-  LabeledGraph disagree = agree;
-  disagree.set_label(3, Label{5});
-  EXPECT_FALSE(prop->contains(disagree));
-  EXPECT_FALSE(local::run_oblivious(*dec, disagree).accepted);
-}
-
-TEST(BoundedDegree, OracleAndDecider) {
-  const auto prop = bounded_degree_property(2);
-  const auto dec = bounded_degree_decider(2);
-  LabeledGraph cyc = LabeledGraph::uniform(graph::make_cycle(6), Label{});
-  LabeledGraph star = LabeledGraph::uniform(graph::make_star(4), Label{});
-  EXPECT_TRUE(prop->contains(cyc));
-  EXPECT_FALSE(prop->contains(star));
-  EXPECT_TRUE(local::run_oblivious(*dec, cyc).accepted);
-  EXPECT_FALSE(local::run_oblivious(*dec, star).accepted);
-}
-
-TEST(CycleProperty, SeparatesCyclesFromPaths) {
-  const auto prop = cycle_property();
-  const auto dec = cycle_decider();
-  LabeledGraph cyc = LabeledGraph::uniform(graph::make_cycle(9), Label{});
-  LabeledGraph path = LabeledGraph::uniform(graph::make_path(9), Label{});
-  EXPECT_TRUE(prop->contains(cyc));
-  EXPECT_FALSE(prop->contains(path));
-  EXPECT_TRUE(local::run_oblivious(*dec, cyc).accepted);
-  EXPECT_FALSE(local::run_oblivious(*dec, path).accepted);
-}
-
-// All example deciders are honest members of LD*: their outputs cannot
+// The colouring decider is an honest member of LD*: its outputs cannot
 // depend on identifiers because the framework strips them. This sweep
 // confirms no per-node output changes across random id assignments.
 class ObliviousSweep
@@ -140,17 +66,10 @@ TEST_P(ObliviousSweep, NoIdDependence) {
   for (graph::NodeId v = 0; v < g.node_count(); ++v) {
     g.set_label(v, Label{static_cast<std::int64_t>(rng.below(3))});
   }
-  std::vector<std::unique_ptr<local::LocalAlgorithm>> algs;
-  algs.push_back(proper_coloring_decider(3));
-  algs.push_back(mis_decider());
-  algs.push_back(agreement_decider());
-  algs.push_back(bounded_degree_decider(3));
-  algs.push_back(cycle_decider());
-  for (const auto& alg : algs) {
-    const auto probe =
-        local::probe_id_dependence(*alg, g, 1'000'000, 6, {{}, seed});
-    EXPECT_FALSE(probe.some_node_output_changed) << alg->name();
-  }
+  const auto alg = proper_coloring_decider(3);
+  const auto probe =
+      local::probe_id_dependence(*alg, g, 1'000'000, 6, {{}, seed});
+  EXPECT_FALSE(probe.some_node_output_changed) << alg->name();
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, ObliviousSweep, ::testing::Range(0, 6));

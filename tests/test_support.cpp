@@ -164,13 +164,6 @@ TEST(Rng, ShuffleIsPermutation) {
   EXPECT_EQ(v, w);
 }
 
-TEST(Rng, SplitStreamsAreIndependentlySeeded) {
-  Rng parent(31);
-  Rng c1 = parent.split();
-  Rng c2 = parent.split();
-  EXPECT_NE(c1.next_u64(), c2.next_u64());
-}
-
 TEST(Hash, Fnv1aStableKnownValue) {
   // Regression anchor: canonical fingerprints must be stable across builds.
   const std::uint64_t h = fnv1a("abc", 3);
@@ -186,12 +179,6 @@ TEST(Hash, VectorHashingDistinguishesLengthAndOrder) {
 
 TEST(Format, CatConcatenatesMixedTypes) {
   EXPECT_EQ(cat("r=", 3, ", p=", 1.5), "r=3, p=1.5");
-}
-
-TEST(Format, JoinWithSeparator) {
-  EXPECT_EQ(join({"a", "b", "c"}, ", "), "a, b, c");
-  EXPECT_EQ(join({}, ", "), "");
-  EXPECT_EQ(join({"solo"}, ", "), "solo");
 }
 
 TEST(Format, FixedDigits) {
@@ -357,15 +344,12 @@ TEST(JsonWriter, OutputRoundTripsThroughParser) {
   w.value(std::uint64_t{18446744073709551615ull});
   w.key("neg");
   w.value(std::int64_t{-9000000000000000000ll});
-  w.key("nothing");
-  w.null_value();
   w.end_object();
   const JsonValue v = parse_json(out.str());
   EXPECT_EQ(v.find("quoted \"key\"")->as_string(), "line\nbreak");
   // 2^64-1 does not fit int64; the reader degrades it to a double.
   EXPECT_FALSE(v.find("big")->is_integer());
   EXPECT_EQ(v.find("neg")->as_integer(), -9000000000000000000ll);
-  EXPECT_TRUE(v.find("nothing")->is_null());
 }
 
 TEST(JsonWriter, MisuseThrowsBugError) {

@@ -170,10 +170,9 @@ TEST(Table, BuildMatchesTrace) {
   EXPECT_EQ(t.cell(0, 0), m.head_cell(0, 0));
   EXPECT_EQ(t.cell(3, 0), m.plain_cell(0));
   // Head advances one column per row.
-  EXPECT_EQ(t.head_column(0), 0);
-  EXPECT_EQ(t.head_column(1), 1);
-  EXPECT_EQ(t.head_column(2), 2);
-  EXPECT_EQ(t.head_column(3), 3);
+  for (int y = 0; y <= 3; ++y) {
+    EXPECT_TRUE(m.cell_has_head(t.cell(y, y))) << "row " << y;
+  }
   // Halting at step 3; frozen rows repeat it.
   ASSERT_TRUE(t.halting_step().has_value());
   EXPECT_EQ(*t.halting_step(), 3);

@@ -40,7 +40,6 @@ TEST(Patch, SubtreeAndContainment) {
   const Patch h = subtree_patch(p, 1, 2);  // root (1, 2), depth 2
   EXPECT_EQ(h.bottom_left, 4);
   EXPECT_EQ(h.bottom_right, 7);
-  EXPECT_EQ(h.node_count(), 7);
   EXPECT_TRUE(h.contains(1, 2));
   EXPECT_TRUE(h.contains(2, 3));
   EXPECT_TRUE(h.contains(5, 4));
@@ -64,7 +63,6 @@ TEST(Patch, TrapezoidIntervals) {
   EXPECT_EQ(h.right(1), 3);
   EXPECT_EQ(h.left(0), 0);
   EXPECT_EQ(h.right(0), 1);
-  EXPECT_EQ(h.node_count(), 8 + 5 + 3 + 2);
 }
 
 TEST(Patch, BorderOfRootSubtree) {
