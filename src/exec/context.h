@@ -1,14 +1,12 @@
 // The execution context threaded through every parallel hot path.
 //
 // Both members are optional and non-owning: a null pool means "run serially
-// on the calling thread" and a null cache means "no memoization", so the
-// default-constructed context IS the serial engine and legacy callers keep
-// their exact behaviour. The CLI owns the pool (sized by --threads) and a
-// per-run VerdictCache and hands this struct down through ScenarioOptions.
+// on the calling thread" (`exec::parallel_for`'s serial loop) and a null
+// cache means "no memoization", so the default-constructed context IS the
+// serial engine and legacy callers keep their exact behaviour. The CLI owns
+// the pool (sized by --threads) and a per-run VerdictCache and hands this
+// struct down through ScenarioOptions.
 #pragma once
-
-#include <cstddef>
-#include <functional>
 
 #include "exec/thread_pool.h"
 #include "exec/verdict_cache.h"
@@ -18,18 +16,6 @@ namespace locald::exec {
 struct ExecContext {
   ThreadPool* pool = nullptr;     // null => serial
   VerdictCache* cache = nullptr;  // null => no memoization
-
-  // Serial-or-parallel loop: the one entry point hot paths call, so the
-  // serial path and the pool path cannot diverge structurally.
-  void for_each(std::size_t n, const std::function<void(std::size_t)>& fn) const {
-    if (pool != nullptr) {
-      pool->parallel_for(n, fn);
-    } else {
-      for (std::size_t i = 0; i < n; ++i) {
-        fn(i);
-      }
-    }
-  }
 
   int parallelism() const { return pool == nullptr ? 1 : pool->parallelism(); }
 };

@@ -23,19 +23,15 @@ ThreadPool::ThreadPool(int threads) {
     threads = hardware_parallelism();
   }
   const std::size_t workers = static_cast<std::size_t>(threads - 1);
-  queues_.reserve(workers + 1);
-  for (std::size_t i = 0; i < workers + 1; ++i) {
-    queues_.push_back(std::make_unique<Queue>());
-  }
   workers_.reserve(workers);
   for (std::size_t i = 0; i < workers; ++i) {
-    workers_.emplace_back([this, i] { worker_main(i); });
+    workers_.emplace_back([this] { worker_main(); });
   }
 }
 
 ThreadPool::~ThreadPool() {
   {
-    std::lock_guard<std::mutex> lk(wake_mu_);
+    std::lock_guard<std::mutex> lk(mu_);
     stop_ = true;
   }
   wake_cv_.notify_all();
@@ -57,120 +53,87 @@ void ThreadPool::parallel_for(std::size_t n,
   }
 
   std::lock_guard<std::mutex> submit(submit_mu_);
-  const std::size_t executors = queues_.size();
-  // A few chunks per executor so stealing has something to grab; never
-  // smaller than one index per chunk.
-  const std::size_t chunk_count = std::min(n, executors * 4);
-  const std::size_t base = n / chunk_count;
-  const std::size_t extra = n % chunk_count;
-
-  // Loop state must be in place before the first chunk becomes visible: a
-  // straggler worker from the previous loop may still be polling the queues
-  // and can legally start on new chunks the moment they are pushed.
+  std::unique_lock<std::mutex> lk(mu_);
+  // A few chunks per executor so a straggling one can be absorbed; never
+  // smaller than one index per chunk. The whole loop state changes under
+  // mu_, so a worker still leaving the previous loop finds either no chunk
+  // or a whole chunk of this loop with this body.
   body_ = &fn;
+  n_ = n;
+  chunk_count_ = std::min(n, static_cast<std::size_t>(parallelism()) * 4);
+  next_chunk_ = 0;
+  chunks_remaining_ = chunk_count_;
   first_error_ = nullptr;
-  chunks_remaining_.store(chunk_count, std::memory_order_release);
-
-  std::size_t begin = 0;
-  for (std::size_t c = 0; c < chunk_count; ++c) {
-    const std::size_t len = base + (c < extra ? 1 : 0);
-    Chunk chunk{begin, begin + len};
-    begin += len;
-    Queue& q = *queues_[c % executors];
-    std::lock_guard<std::mutex> lk(q.mu);
-    q.chunks.push_back(chunk);
-  }
-
-  {
-    std::lock_guard<std::mutex> lk(wake_mu_);
-    ++generation_;
-  }
+  ++generation_;
   wake_cv_.notify_all();
 
   // The caller is the last executor.
-  run_chunks(executors - 1);
-  {
-    std::unique_lock<std::mutex> lk(done_mu_);
-    done_cv_.wait(lk, [this] {
-      return chunks_remaining_.load(std::memory_order_acquire) == 0;
-    });
-  }
+  run_chunks(lk);
+  done_cv_.wait(lk, [this] { return chunks_remaining_ == 0; });
   body_ = nullptr;
   if (first_error_) {
     std::rethrow_exception(first_error_);
   }
 }
 
-void ThreadPool::worker_main(std::size_t self) {
+void ThreadPool::worker_main() {
   std::uint64_t seen = 0;
+  std::unique_lock<std::mutex> lk(mu_);
   for (;;) {
-    {
-      std::unique_lock<std::mutex> lk(wake_mu_);
-      wake_cv_.wait(lk, [&] { return stop_ || generation_ != seen; });
-      if (stop_) {
-        return;
-      }
-      seen = generation_;
-    }
-    run_chunks(self);
-  }
-}
-
-bool ThreadPool::try_pop(std::size_t self, Chunk& out) {
-  {
-    Queue& own = *queues_[self];
-    std::lock_guard<std::mutex> lk(own.mu);
-    if (!own.chunks.empty()) {
-      out = own.chunks.back();  // LIFO: stay on recently dealt ranges
-      own.chunks.pop_back();
-      return true;
-    }
-  }
-  for (std::size_t i = 1; i < queues_.size(); ++i) {
-    Queue& victim = *queues_[(self + i) % queues_.size()];
-    std::lock_guard<std::mutex> lk(victim.mu);
-    if (!victim.chunks.empty()) {
-      out = victim.chunks.front();  // FIFO: steal the range farthest from
-      victim.chunks.pop_front();    // the victim's working end
-      return true;
-    }
-  }
-  return false;
-}
-
-void ThreadPool::execute(const Chunk& chunk) {
-  // After a failure the loop still drains, but remaining chunks are skipped
-  // so the caller sees the first error quickly.
-  {
-    std::lock_guard<std::mutex> lk(error_mu_);
-    if (first_error_) {
+    wake_cv_.wait(lk, [&] { return stop_ || generation_ != seen; });
+    if (stop_) {
       return;
     }
-  }
-  try {
-    for (std::size_t i = chunk.begin; i < chunk.end; ++i) {
-      (*body_)(i);
-    }
-  } catch (...) {
-    std::lock_guard<std::mutex> lk(error_mu_);
-    if (!first_error_) {
-      first_error_ = std::current_exception();
-    }
+    seen = generation_;
+    run_chunks(lk);
   }
 }
 
-void ThreadPool::run_chunks(std::size_t self) {
+void ThreadPool::run_chunks(std::unique_lock<std::mutex>& lk) {
   t_inside_loop = true;
-  Chunk chunk;
-  while (chunks_remaining_.load(std::memory_order_acquire) > 0 &&
-         try_pop(self, chunk)) {
-    execute(chunk);
-    if (chunks_remaining_.fetch_sub(1, std::memory_order_acq_rel) == 1) {
-      std::lock_guard<std::mutex> lk(done_mu_);
+  while (next_chunk_ < chunk_count_) {
+    // Chunk c covers [c * base + min(c, extra), ...) with base + 1 indices
+    // for the first `extra` chunks and base for the rest.
+    const std::size_t c = next_chunk_++;
+    const std::size_t base = n_ / chunk_count_;
+    const std::size_t extra = n_ % chunk_count_;
+    const std::size_t begin = c * base + std::min(c, extra);
+    const std::size_t end = begin + base + (c < extra ? 1 : 0);
+    const std::function<void(std::size_t)>& body = *body_;
+    // After a failure the loop still drains, but remaining chunks are
+    // skipped so the caller sees the first error quickly.
+    const bool skip = first_error_ != nullptr;
+    lk.unlock();
+    std::exception_ptr error;
+    if (!skip) {
+      try {
+        for (std::size_t i = begin; i < end; ++i) {
+          body(i);
+        }
+      } catch (...) {
+        error = std::current_exception();
+      }
+    }
+    lk.lock();
+    if (error && !first_error_) {
+      first_error_ = error;
+    }
+    if (--chunks_remaining_ == 0) {
       done_cv_.notify_all();
     }
   }
   t_inside_loop = false;
+}
+
+void parallel_for(ThreadPool* pool, std::size_t n,
+                  const std::function<void(std::size_t)>& fn) {
+  if (pool != nullptr) {
+    pool->parallel_for(n, fn);
+  } else {
+    for (std::size_t i = 0; i < n; ++i) {
+      fn(i);
+    }
+  }
 }
 
 }  // namespace locald::exec

@@ -1,13 +1,15 @@
-// Work-stealing thread pool behind every parallel hot path.
+// Thread pool behind every parallel hot path.
 //
 // The pool owns `threads - 1` workers; the caller of `parallel_for`
 // participates as the final executor, so `ThreadPool(1)` spawns no threads
 // and runs everything inline on the calling thread — the serial path IS the
-// one-thread pool. Loop iterations are split into contiguous chunks dealt
-// round-robin across per-executor deques; an executor drains its own deque
-// LIFO and steals from the others FIFO, which keeps contiguous index ranges
-// on one core while letting idle executors absorb imbalance (the balls of a
-// scenario vary wildly in evaluation cost).
+// one-thread pool. A loop's iterations are split into a fixed set of
+// contiguous chunks, a few per executor, and one chunk cursor hands them
+// out: each executor claims the next whole chunk under the pool's mutex
+// until none is left, so executors that draw cheap chunks absorb the
+// imbalance of expensive ones (the balls of a scenario vary wildly in
+// evaluation cost). A loop never adds work while it runs, so one shared
+// cursor is all the scheduling it needs.
 //
 // Determinism contract: `parallel_for` guarantees only that fn(i) runs
 // exactly once per index, on some executor, at some time. Callers that need
@@ -20,14 +22,11 @@
 // inline on the calling executor rather than deadlocking on the pool.
 #pragma once
 
-#include <atomic>
 #include <condition_variable>
 #include <cstddef>
 #include <cstdint>
-#include <deque>
 #include <exception>
 #include <functional>
-#include <memory>
 #include <mutex>
 #include <thread>
 #include <vector>
@@ -56,39 +55,33 @@ class ThreadPool {
   void parallel_for(std::size_t n, const std::function<void(std::size_t)>& fn);
 
  private:
-  struct Chunk {
-    std::size_t begin = 0;
-    std::size_t end = 0;
-  };
-  struct Queue {
-    std::mutex mu;
-    std::deque<Chunk> chunks;
-  };
-
-  void worker_main(std::size_t self);
-  // Drains chunks (own deque first, then stealing) until none are left.
-  void run_chunks(std::size_t self);
-  bool try_pop(std::size_t self, Chunk& out);
-  void execute(const Chunk& chunk);
+  void worker_main();
+  // Claims and runs chunks of the current loop until none is left. `lk`
+  // holds `mu_` on entry and on return.
+  void run_chunks(std::unique_lock<std::mutex>& lk);
 
   std::vector<std::thread> workers_;
-  // One deque per worker plus one for the submitting caller (last slot).
-  std::vector<std::unique_ptr<Queue>> queues_;
-
-  std::mutex wake_mu_;
-  std::condition_variable wake_cv_;
-  std::uint64_t generation_ = 0;
-  bool stop_ = false;
-
-  std::mutex done_mu_;
-  std::condition_variable done_cv_;
-  std::atomic<std::size_t> chunks_remaining_{0};
 
   std::mutex submit_mu_;  // one loop at a time
-  const std::function<void(std::size_t)>* body_ = nullptr;
 
-  std::mutex error_mu_;
+  // The current loop and the cursor over its chunks, all guarded by mu_.
+  std::mutex mu_;
+  std::condition_variable wake_cv_;  // workers: a new loop, or stop
+  std::condition_variable done_cv_;  // caller: the last chunk finished
+  std::uint64_t generation_ = 0;
+  bool stop_ = false;
+  const std::function<void(std::size_t)>* body_ = nullptr;
+  std::size_t n_ = 0;
+  std::size_t chunk_count_ = 0;
+  std::size_t next_chunk_ = 0;
+  std::size_t chunks_remaining_ = 0;
   std::exception_ptr first_error_;
 };
+
+// Serial-or-parallel loop, the one entry point hot paths call: a null pool
+// runs fn(0), ..., fn(n - 1) in order on the calling thread, any other pool
+// runs `pool->parallel_for(n, fn)`.
+void parallel_for(ThreadPool* pool, std::size_t n,
+                  const std::function<void(std::size_t)>& fn);
 
 }  // namespace locald::exec

@@ -97,8 +97,6 @@ class VerdictCache {
   // recomputed.
   void clear();
 
-  std::size_t shard_count() const { return shards_.size(); }
-
  private:
   struct Shard {
     mutable std::mutex mu;

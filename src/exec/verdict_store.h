@@ -101,7 +101,6 @@ class VerdictStore {
   // No-op in follower mode (nothing of ours to flush).
   void sync();
 
-  Role role() const { return role_; }
   // Whether append() is allowed — the write-through guard followers trip.
   bool writable() const { return role_ == Role::writer; }
 

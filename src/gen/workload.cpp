@@ -132,10 +132,9 @@ WorkloadResult run_family_workload(const FamilyInstanceSpec& spec,
                           census.class_representative.size(),
                           local::Verdict::yes));
   {
-    obs::Span span("panel-evaluate",
-                   "classes=" +
-                       std::to_string(census.class_representative.size()));
-    exec.for_each(census.class_representative.size(), [&](std::size_t k) {
+    const std::size_t classes = census.class_representative.size();
+    obs::Span span("panel-evaluate", "classes=" + std::to_string(classes));
+    exec::parallel_for(exec.pool, classes, [&](std::size_t k) {
       static thread_local local::BallScratch scratch;
       const local::BallView ball = scratch.extract(
           instance, nullptr, census.class_representative[k], 1);
@@ -201,7 +200,7 @@ FaultRobustnessResult run_fault_robustness(
   // does not depend on the algorithm. A `none` pass needs only the control.
   const bool faulty_is_control = profile.entry().name == "none";
   std::vector<local::FloodResult> floods(faulty_is_control ? 1 : 2);
-  exec.for_each(floods.size(), [&](std::size_t i) {
+  exec::parallel_for(exec.pool, floods.size(), [&](std::size_t i) {
     const local::FaultProfileInstance& flood_profile =
         i == 0 ? control : profile;
     obs::Span span("fault-flood", flood_profile.canonical());

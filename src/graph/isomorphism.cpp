@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <atomic>
 #include <cstring>
-#include <functional>
 #include <numeric>
 #include <optional>
 #include <string_view>
@@ -486,17 +485,6 @@ class Canonicalizer {
   int unwind_to_ = -1;
 };
 
-void run_indexed(exec::ThreadPool* pool, std::size_t n,
-                 const std::function<void(std::size_t)>& fn) {
-  if (pool != nullptr) {
-    pool->parallel_for(n, fn);
-  } else {
-    for (std::size_t i = 0; i < n; ++i) {
-      fn(i);
-    }
-  }
-}
-
 // ---- census internals ------------------------------------------------------
 
 // Centre-marked payloads of a ball slice, in local-id order (matching
@@ -782,7 +770,7 @@ BallCensusResult census_with_hash(const CsrGraph& host,
   std::vector<Block> blocks(block_count);
   std::vector<std::uint32_t> slot(n);  // block-local until regrouped
   std::atomic<bool> collision{false};
-  run_indexed(pool, block_count, [&](std::size_t b) {
+  exec::parallel_for(pool, block_count, [&](std::size_t b) {
     Block& out = blocks[b];
     std::unordered_map<std::uint64_t, std::uint32_t> local_slot;
     std::vector<std::uint32_t> witness;  // per local slot: arena index
@@ -832,7 +820,7 @@ BallCensusResult census_with_hash(const CsrGraph& host,
         block.slot.push_back(it->second);
       }
     }
-    run_indexed(pool, block_count, [&](std::size_t b) {
+    exec::parallel_for(pool, block_count, [&](std::size_t b) {
       const std::size_t end = std::min(n, (b + 1) * kBlockNodes);
       for (std::size_t i = b * kBlockNodes; i < end; ++i) {
         slot[i] = blocks[b].slot[slot[i]];
@@ -873,10 +861,10 @@ BallCensusResult census_with_hash(const CsrGraph& host,
       c.slot = static_cast<std::uint32_t>(rep_nodes.size() - 1);
     }
     std::vector<SliceArena> reps(rep_nodes.size());
-    run_indexed(pool, rep_nodes.size(), [&](std::size_t k) {
+    exec::parallel_for(pool, rep_nodes.size(), [&](std::size_t k) {
       reps[k].add(census_scratch().extract(hs, rep_nodes[k], radius));
     });
-    run_indexed(pool, checks.size(), [&](std::size_t k) {
+    exec::parallel_for(pool, checks.size(), [&](std::size_t k) {
       if (collision.load(std::memory_order_relaxed)) {
         return;
       }
@@ -898,7 +886,7 @@ BallCensusResult census_with_hash(const CsrGraph& host,
     // Fall back to grouping the whole census by exact serialized keys —
     // deterministic, just memory-heavier.
     std::vector<std::string> raw(n);
-    run_indexed(pool, n, [&](std::size_t i) {
+    exec::parallel_for(pool, n, [&](std::size_t i) {
       const BallSlice s =
           census_scratch().extract(hs, static_cast<NodeId>(i), radius);
       std::string key;
@@ -948,7 +936,7 @@ BallCensusResult census_with_hash(const CsrGraph& host,
   stage_span.emplace("census-canonicalize",
                      "unique=" + std::to_string(representative.size()));
   std::vector<std::string> encodings(representative.size());
-  run_indexed(pool, representative.size(), [&](std::size_t k) {
+  exec::parallel_for(pool, representative.size(), [&](std::size_t k) {
     const BallSlice s =
         census_scratch().extract(hs, representative[k], radius);
     encodings[k] =

@@ -35,8 +35,6 @@ class Label {
     return fields_[i];
   }
 
-  void push(std::int64_t v) { fields_.push_back(v); }
-
   bool operator==(const Label&) const = default;
   auto operator<=>(const Label&) const = default;
 

@@ -117,7 +117,7 @@ std::vector<RunResult> run_panel(const std::vector<const LocalAlgorithm*>& algs,
   // memo keys + evaluation. Per-ball spans would swamp the trace at 10^6
   // nodes, so the inner pipeline is visible via the census/workload spans.
   obs::Span span("local-run", names);
-  options.exec.for_each(n, [&](std::size_t i) {
+  exec::parallel_for(options.exec.pool, n, [&](std::size_t i) {
     // One extraction arena per worker thread, reused across all nodes that
     // thread processes. Nested parallel_for runs inline on the calling
     // worker, so no second extraction can interleave with a live view.
@@ -191,8 +191,8 @@ IdDependenceProbe probe_id_dependence(const LocalAlgorithm& alg,
   const RunResult reference = run_trial(0);
   std::atomic<bool> verdict_changed{false};
   std::atomic<bool> output_changed{false};
-  options.exec.for_each(static_cast<std::size_t>(trials - 1),
-                        [&](std::size_t i) {
+  const auto reruns = static_cast<std::size_t>(trials - 1);
+  exec::parallel_for(options.exec.pool, reruns, [&](std::size_t i) {
     const RunResult run = run_trial(static_cast<int>(i) + 1);
     if (run.accepted != reference.accepted) {
       verdict_changed.store(true, std::memory_order_relaxed);
@@ -228,7 +228,7 @@ AcceptanceEstimate estimate_acceptance(const RandomizedLocalAlgorithm& alg,
   std::vector<Ball> balls(n);
   const std::size_t blocks =
       std::min(n, static_cast<std::size_t>(options.exec.parallelism()));
-  options.exec.for_each(blocks, [&](std::size_t b) {
+  exec::parallel_for(options.exec.pool, blocks, [&](std::size_t b) {
     BallScratch scratch;
     for (std::size_t i = b * n / blocks; i < (b + 1) * n / blocks; ++i) {
       balls[i] = scratch
@@ -238,7 +238,8 @@ AcceptanceEstimate estimate_acceptance(const RandomizedLocalAlgorithm& alg,
     }
   });
   std::atomic<int> accepted{0};
-  options.exec.for_each(static_cast<std::size_t>(trials), [&](std::size_t t) {
+  const auto trial_count = static_cast<std::size_t>(trials);
+  exec::parallel_for(options.exec.pool, trial_count, [&](std::size_t t) {
     bool all_yes = true;
     for (std::size_t v = 0; v < n; ++v) {
       Rng coin = Rng::stream(options.seed, t, v);

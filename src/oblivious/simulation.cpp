@@ -3,7 +3,7 @@
 #include <algorithm>
 #include <atomic>
 
-#include "exec/context.h"
+#include "exec/thread_pool.h"
 #include "support/format.h"
 #include "support/rng.h"
 
@@ -84,7 +84,7 @@ Verdict ObliviousSimulation::evaluate(const BallView& ball) const {
   const int b = ball.node_count();
   LOCALD_CHECK(static_cast<Id>(b) <= options_.id_universe,
                "id universe smaller than the ball");
-  const exec::ExecContext ctx{options_.pool, nullptr};
+  exec::ThreadPool* const pool = options_.pool;
   SimulationStats stats;
   std::atomic<bool> rejected{false};
   std::atomic<std::size_t> tried{0};
@@ -97,25 +97,23 @@ Verdict ObliviousSimulation::evaluate(const BallView& ball) const {
     // its chosen/used scratch, so branches are independent. The exhaustive
     // path only triggers for small universes (the injection count fits the
     // budget), so the per-branch O(universe) scratch is cheap.
-    ctx.for_each(static_cast<std::size_t>(options_.id_universe),
-                 [&](std::size_t first) {
-                   if (rejected.load(std::memory_order_relaxed)) {
-                     return;
-                   }
-                   std::vector<Id> chosen{static_cast<Id>(first)};
-                   std::vector<bool> used(
-                       static_cast<std::size_t>(options_.id_universe));
-                   used[first] = true;
-                   std::size_t branch_tried = 0;
-                   const bool found =
-                       search_exhaustive(*inner_, ball, chosen, used,
-                                         options_.id_universe, branch_tried,
-                                         rejected);
-                   tried.fetch_add(branch_tried, std::memory_order_relaxed);
-                   if (found) {
-                     rejected.store(true, std::memory_order_relaxed);
-                   }
-                 });
+    const auto universe = static_cast<std::size_t>(options_.id_universe);
+    exec::parallel_for(pool, universe, [&](std::size_t first) {
+      if (rejected.load(std::memory_order_relaxed)) {
+        return;
+      }
+      std::vector<Id> chosen{static_cast<Id>(first)};
+      std::vector<bool> used(universe);
+      used[first] = true;
+      std::size_t branch_tried = 0;
+      const bool found =
+          search_exhaustive(*inner_, ball, chosen, used, options_.id_universe,
+                            branch_tried, rejected);
+      tried.fetch_add(branch_tried, std::memory_order_relaxed);
+      if (found) {
+        rejected.store(true, std::memory_order_relaxed);
+      }
+    });
   } else {
     // Sampled search: the computable stand-in for the infinite enumeration.
     // Candidate i is drawn from counter stream (seed ^ fingerprint, i), so
@@ -126,7 +124,7 @@ Verdict ObliviousSimulation::evaluate(const BallView& ball) const {
     // of the ball's class rather than of its node numbering.
     const graph::CanonicalForm form = ball.canonical_form();
     const std::uint64_t stream_seed = options_.seed ^ form.fingerprint;
-    ctx.for_each(options_.max_assignments, [&](std::size_t i) {
+    exec::parallel_for(pool, options_.max_assignments, [&](std::size_t i) {
       if (rejected.load(std::memory_order_relaxed)) {
         return;
       }

@@ -3,21 +3,12 @@
 #include <algorithm>
 #include <cmath>
 #include <sstream>
-#include <thread>
 
 #include "support/check.h"
 
 namespace locald::obs {
 
 namespace {
-
-// Slot choice: hash the thread id once per thread. Distinct threads spread
-// across slots; a collision costs contention, never correctness.
-std::size_t thread_slot() {
-  static thread_local const std::size_t slot =
-      std::hash<std::thread::id>{}(std::this_thread::get_id());
-  return slot;
-}
 
 bool valid_metric_name(const std::string& name) {
   if (name.empty()) return false;
@@ -71,19 +62,6 @@ const char* type_name(MetricType type) {
 }
 
 }  // namespace
-
-void Counter::add(std::uint64_t delta) {
-  slots_[thread_slot() % kSlots].v.fetch_add(delta,
-                                             std::memory_order_relaxed);
-}
-
-std::uint64_t Counter::value() const {
-  std::uint64_t total = 0;
-  for (const Slot& slot : slots_) {
-    total += slot.v.load(std::memory_order_relaxed);
-  }
-  return total;
-}
 
 Histogram::Histogram(std::vector<double> upper_bounds)
     : bounds_(std::move(upper_bounds)), buckets_(bounds_.size() + 1) {

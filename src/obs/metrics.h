@@ -4,10 +4,8 @@
 // exposition format 0.0.4) and the `/v1/metrics` JSON document.
 //
 // Design:
-//  - Instrument types are lock-free on the hot path. `Counter` shards its
-//    value across cache-line-padded atomic slots picked by thread identity,
-//    so concurrent increments from the thread pool never bounce one cache
-//    line; `value()` sums the slots. `Histogram` keeps fixed bucket bounds
+//  - Instrument types are lock-free on the hot path. `Counter` and `Gauge`
+//    are one relaxed atomic each. `Histogram` keeps fixed bucket bounds
 //    chosen at registration and atomic per-bucket counts, so `observe` is a
 //    couple of relaxed atomic adds.
 //  - Registration is the cold path (mutex-guarded). `Registry` hands out
@@ -46,25 +44,20 @@ struct Label {
   std::string value;
 };
 
-// Monotonic counter, sharded across padded atomic slots so hammering from
-// many pool threads scales without cache-line contention.
+// Monotonic counter. Only the server's acceptor and connection threads add
+// to counters, once per request, connection or response; pool loops never.
 class Counter {
  public:
-  void add(std::uint64_t delta = 1);
-  std::uint64_t value() const;
+  void add(std::uint64_t d = 1) { v_.fetch_add(d, std::memory_order_relaxed); }
+  std::uint64_t value() const { return v_.load(std::memory_order_relaxed); }
 
  private:
-  struct alignas(64) Slot {
-    std::atomic<std::uint64_t> v{0};
-  };
-  static constexpr std::size_t kSlots = 16;
-  Slot slots_[kSlots];
+  std::atomic<std::uint64_t> v_{0};
 };
 
 // Point-in-time signed value (queue depths, entry counts).
 class Gauge {
  public:
-  void set(std::int64_t v) { v_.store(v, std::memory_order_relaxed); }
   void add(std::int64_t d) { v_.fetch_add(d, std::memory_order_relaxed); }
   std::int64_t value() const { return v_.load(std::memory_order_relaxed); }
 

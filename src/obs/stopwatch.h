@@ -15,8 +15,6 @@ class Stopwatch {
 
   Stopwatch() : start_(Clock::now()) {}
 
-  void reset() { start_ = Clock::now(); }
-
   double elapsed_seconds() const {
     return std::chrono::duration<double>(Clock::now() - start_).count();
   }

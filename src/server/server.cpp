@@ -163,11 +163,12 @@ HttpResponse method_not_allowed(const std::string& allow) {
   return r;
 }
 
-void set_recv_timeout(int fd, int ms) {
+// `option` is SO_RCVTIMEO or SO_SNDTIMEO.
+void set_socket_timeout(int fd, int option, int ms) {
   timeval tv{};
   tv.tv_sec = ms / 1000;
   tv.tv_usec = (ms % 1000) * 1000;
-  ::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &tv, sizeof(tv));
+  ::setsockopt(fd, SOL_SOCKET, option, &tv, sizeof(tv));
 }
 
 }  // namespace
@@ -357,14 +358,11 @@ void Server::accept_loop() {
       }
       return;  // listen socket is gone; stop() is the only way this happens
     }
-    timeval tv{};
-    tv.tv_sec = options_.read_timeout_ms / 1000;
-    tv.tv_usec = (options_.read_timeout_ms % 1000) * 1000;
-    ::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &tv, sizeof(tv));
-    // Same deadline on writes: a client that never drains its response
-    // must time out instead of pinning a worker in send() forever (which
-    // would also wedge stop()'s join).
-    ::setsockopt(fd, SOL_SOCKET, SO_SNDTIMEO, &tv, sizeof(tv));
+    // A write deadline: a client that never drains its response must time
+    // out instead of pinning a worker (or this loop's 503) in send()
+    // forever, which would also wedge stop()'s join. serve_connection sets
+    // the receive deadline itself before its first recv.
+    set_socket_timeout(fd, SO_SNDTIMEO, options_.read_timeout_ms);
     // Responses go out as several small writes (a head, then one chunk per
     // finished sweep cell). Without TCP_NODELAY, Nagle holds each write
     // until the previous one is ACKed, and the client's delayed ACK turns
@@ -424,7 +422,7 @@ void Server::serve_connection(int fd, int worker) {
       const ssize_t n = ::recv(fd, buf, len, 0);
       if (n > 0 && !request_started) {
         request_started = true;
-        set_recv_timeout(fd, options_.read_timeout_ms);
+        set_socket_timeout(fd, SO_RCVTIMEO, options_.read_timeout_ms);
       }
       if (n >= 0) return static_cast<long>(n);
       if (errno == EINTR) continue;
@@ -440,8 +438,9 @@ void Server::serve_connection(int fd, int worker) {
       if (stopping_) break;
     }
     request_started = false;
-    set_recv_timeout(fd, handled == 0 ? options_.read_timeout_ms
-                                      : options_.idle_timeout_ms);
+    const int recv_ms =
+        handled == 0 ? options_.read_timeout_ms : options_.idle_timeout_ms;
+    set_socket_timeout(fd, SO_RCVTIMEO, recv_ms);
     const ParseResult parsed =
         read_http_request(source, options_.limits, &leftover);
     if (parsed.idle_close) break;  // client hung up between requests

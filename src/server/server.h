@@ -1,8 +1,8 @@
 // `locald serve` — the long-lived HTTP/JSON serving layer.
 //
-// One process-wide work-stealing `ThreadPool` and ONE shared `VerdictCache`
-// live for the whole server lifetime, so canonical-ball verdicts memoized
-// while answering request A accelerate every later request that meets an
+// One process-wide `ThreadPool` and ONE shared `VerdictCache` live for the
+// whole server lifetime, so canonical-ball verdicts memoized while
+// answering request A accelerate every later request that meets an
 // isomorphic ball — the cross-request regime the one-shot CLI can never
 // reach. Results stay byte-identical anyway: the execution engine's
 // contract (memoized == unmemoized, any thread count) means the shared

@@ -109,8 +109,6 @@ class TextTable {
   // quotes, or newlines are quoted. Used by the CLI's --format csv mode.
   std::string render_csv() const;
 
-  std::size_t row_count() const { return rows_.size(); }
-
  private:
   std::vector<std::string> header_;
   std::vector<std::vector<std::string>> rows_;

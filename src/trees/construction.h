@@ -79,8 +79,6 @@ struct Patch {
   Coord left(int j) const { return bottom_left >> (r - j); }
   Coord right(int j) const { return bottom_right >> (r - j); }
 
-  Coord top_level() const { return y0; }
-  Coord bottom_level() const { return y0 + r; }
   Coord width() const { return bottom_right - bottom_left + 1; }
 
   bool contains(Coord x, Coord y) const;

@@ -1,4 +1,4 @@
-// Tests for the execution engine's building blocks: the work-stealing
+// Tests for the execution engine's building blocks: the chunk-cursor
 // thread pool and the sharded verdict cache. Scheduling-determinism of the
 // simulator entry points built on them is covered in test_determinism.cpp.
 #include <gtest/gtest.h>
@@ -9,6 +9,7 @@
 #include <atomic>
 #include <stdexcept>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "exec/context.h"
@@ -70,7 +71,7 @@ TEST(ThreadPool, NestedLoopsRunInline) {
 }
 
 TEST(ThreadPool, PropagatesFirstException) {
-  for (int threads : {1, 4}) {
+  for (int threads : {1, 4, 8}) {
     ThreadPool pool(threads);
     EXPECT_THROW(pool.parallel_for(64,
                                    [&](std::size_t i) {
@@ -86,6 +87,70 @@ TEST(ThreadPool, PropagatesFirstException) {
   }
 }
 
+// The server's pattern: several request threads share one pool, so loops
+// from different submitters queue behind each other.
+TEST(ThreadPool, ConcurrentSubmittersEachSeeEveryIndexOnce) {
+  ThreadPool pool(4);
+  constexpr int kSubmitters = 4;
+  constexpr int kLoops = 200;
+  std::atomic<int> bad_loops{0};
+  std::vector<std::thread> submitters;
+  for (int s = 0; s < kSubmitters; ++s) {
+    submitters.emplace_back([&, s] {
+      for (int loop = 0; loop < kLoops; ++loop) {
+        const std::size_t n = 1 + static_cast<std::size_t>(s * 37 + loop) % 97;
+        std::vector<std::atomic<int>> hits(n);
+        pool.parallel_for(n, [&](std::size_t i) {
+          hits[i].fetch_add(1, std::memory_order_relaxed);
+        });
+        for (const std::atomic<int>& h : hits) {
+          if (h.load() != 1) {
+            bad_loops.fetch_add(1);
+            break;
+          }
+        }
+      }
+    });
+  }
+  for (std::thread& t : submitters) {
+    t.join();
+  }
+  EXPECT_EQ(bad_loops.load(), 0);
+}
+
+// Workers still leaving one loop must never run a chunk of it after the
+// loop returned, nor a chunk of the next loop with the old body.
+TEST(ThreadPool, BackToBackLoopsNeverRunAStaleBody) {
+  ThreadPool pool(8);
+  constexpr int kLoops = 500;
+  std::atomic<int> current{-1};
+  std::atomic<int> stale_calls{0};
+  std::vector<std::vector<std::atomic<int>>> hits;
+  hits.reserve(kLoops);
+  for (int loop = 0; loop < kLoops; ++loop) {
+    const std::size_t n = loop % 2 == 0 ? 2 : 64;
+    std::vector<std::atomic<int>>& loop_hits = hits.emplace_back(n);
+    current.store(loop);
+    pool.parallel_for(n, [&, loop](std::size_t i) {
+      if (current.load() != loop) {
+        stale_calls.fetch_add(1);
+      }
+      loop_hits[i].fetch_add(1, std::memory_order_relaxed);
+    });
+    current.store(-1);
+    for (std::size_t i = 0; i < n; ++i) {
+      ASSERT_EQ(loop_hits[i].load(), 1) << "loop " << loop << " index " << i;
+    }
+  }
+  // A late body would have bumped some count after its loop was checked.
+  for (int loop = 0; loop < kLoops; ++loop) {
+    for (const std::atomic<int>& h : hits[static_cast<std::size_t>(loop)]) {
+      ASSERT_EQ(h.load(), 1) << "loop " << loop;
+    }
+  }
+  EXPECT_EQ(stale_calls.load(), 0);
+}
+
 TEST(ThreadPool, HardwareParallelismIsPositive) {
   EXPECT_GE(ThreadPool::hardware_parallelism(), 1);
   ThreadPool defaulted;
@@ -97,9 +162,9 @@ TEST(ThreadPool, HardwareParallelismIsPositive) {
 TEST(ExecContext, DefaultIsSerialEngine) {
   ExecContext ctx;
   EXPECT_EQ(ctx.parallelism(), 1);
-  std::vector<int> order;
-  ctx.for_each(4, [&](std::size_t i) { order.push_back(static_cast<int>(i)); });
-  EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3}));
+  std::vector<std::size_t> order;
+  parallel_for(ctx.pool, 4, [&](std::size_t i) { order.push_back(i); });
+  EXPECT_EQ(order, (std::vector<std::size_t>{0, 1, 2, 3}));
 }
 
 TEST(VerdictCache, MissThenHit) {

@@ -72,9 +72,9 @@ TEST(Metrics, HistogramExactUnderConcurrency) {
   EXPECT_DOUBLE_EQ(snap.sum, 2.0 * 6.0 * kPerThread);
 }
 
-TEST(Metrics, GaugeAddAndSet) {
+TEST(Metrics, GaugeAdds) {
   auto g = obs::registry().gauge("test_obs_gauge", "gauge test");
-  g->set(5);
+  g->add(5);
   g->add(-7);
   EXPECT_EQ(g->value(), -2);
 }
@@ -335,15 +335,13 @@ TEST(Trace, SweepBytesIdenticalWithTracingOn) {
 // Stopwatch and process facts
 // --------------------------------------------------------------------------
 
-TEST(Stopwatch, MonotoneAndResets) {
+TEST(Stopwatch, Monotone) {
   obs::Stopwatch sw;
   const double a = sw.elapsed_seconds();
   EXPECT_GE(a, 0.0);
   const double b = sw.elapsed_seconds();
   EXPECT_GE(b, a);
   EXPECT_GE(sw.elapsed_ms(), b * 1000.0);
-  sw.reset();
-  EXPECT_LE(sw.elapsed_seconds(), b + 1.0);
 }
 
 TEST(Process, PeakRssAndUptimeArePositive) {
