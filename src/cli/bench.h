@@ -2,7 +2,7 @@
 // grid on the execution engine and emit one machine-readable JSON document.
 //
 // Every cell is one gen::run_family_workload measurement. The default
-// document is the CI perf-trend gate's contract: all fields — verdict
+// document is the CI perf-smoke gate's contract: all fields — verdict
 // counts, ball-class censuses, serial-equivalent memo-hit counts, invariant
 // audits — are pure functions of (seed, families, sizes), so two bench runs
 // of the same grid must be byte-identical at ANY `--threads` value; CI

@@ -8,6 +8,7 @@
 #include <algorithm>
 #include <cerrno>
 #include <cstring>
+#include <string_view>
 
 #include "obs/metrics.h"
 #include "support/check.h"
@@ -68,11 +69,60 @@ std::uint32_t record_checksum_raw(const char* record, std::size_t len) {
                       len - sizeof(std::uint32_t)));
 }
 
-std::uint64_t key_hash(const std::string& algorithm,
-                       const std::string& encoding) {
+std::uint64_t key_hash(std::string_view algorithm, std::string_view encoding) {
   std::uint64_t h = fnv1a(algorithm.data(), algorithm.size());
   h = fnv1a("\0", 1, h);
   return fnv1a(encoding.data(), encoding.size(), h);
+}
+
+// What a record walk does at a whole record whose checksum fails.
+enum class OnBadChecksum {
+  // Recovery at open: quarantine the record. Its lengths walked us past
+  // exactly this record, so what follows is intact and keeps loading.
+  skip,
+  // Follower tail refresh: either the writer's write() is still partially
+  // visible or the record is genuinely corrupt. The follower cannot tell,
+  // so it holds its high-water mark here and retries on the next miss; a
+  // writer restart repairs true corruption.
+  stop,
+};
+
+struct RecordWalk {
+  std::uint64_t end = 0;      // offset the walk stopped at
+  std::uint64_t indexed = 0;  // checksum-valid records added to the index
+  std::uint64_t skipped = 0;  // checksum-failed records walked past
+};
+
+// Walks the records of the mapped log `base[offset, size)`, indexing each
+// whole, checksum-valid one by key hash. Stops at a torn tail, at garbage
+// lengths (an unwalkable tail), and per `on_bad` at a checksum failure.
+RecordWalk walk_records(
+    const char* base, std::uint64_t offset, std::uint64_t size,
+    OnBadChecksum on_bad,
+    std::unordered_multimap<std::uint64_t, std::uint64_t>& index) {
+  RecordWalk walk;
+  while (size - offset >= sizeof(RecordHeader)) {
+    RecordHeader rec{};
+    std::memcpy(&rec, base + offset, sizeof(rec));
+    if (rec.algo_len > kMaxKeyBytes || rec.enc_len > kMaxKeyBytes) break;
+    const std::uint64_t record_len =
+        sizeof(RecordHeader) + rec.algo_len + rec.enc_len;
+    if (size - offset < record_len) break;  // torn tail
+    if (rec.checksum != record_checksum_raw(base + offset, record_len)) {
+      if (on_bad == OnBadChecksum::stop) break;
+      walk.skipped += 1;
+      offset += record_len;
+      continue;
+    }
+    const char* keys = base + offset + sizeof(RecordHeader);
+    index.emplace(key_hash(std::string_view(keys, rec.algo_len),
+                           std::string_view(keys + rec.algo_len, rec.enc_len)),
+                  offset);
+    walk.indexed += 1;
+    offset += record_len;
+  }
+  walk.end = offset;
+  return walk;
 }
 
 void write_fully(int fd, const char* data, std::size_t len,
@@ -253,34 +303,11 @@ void VerdictStore::open_shard(Shard& shard, std::size_t index) {
                     "or shard layout)"));
   }
 
-  std::uint64_t offset = sizeof(FileHeader);
-  while (offset < file_size) {
-    if (file_size - offset < sizeof(RecordHeader)) break;  // torn tail
-    RecordHeader rec{};
-    std::memcpy(&rec, base + offset, sizeof(rec));
-    if (rec.algo_len > kMaxKeyBytes || rec.enc_len > kMaxKeyBytes) {
-      break;  // garbage lengths: unwalkable tail, drop from here
-    }
-    const std::uint64_t record_len =
-        sizeof(RecordHeader) + rec.algo_len + rec.enc_len;
-    if (file_size - offset < record_len) break;  // torn tail
-    const std::uint32_t expected =
-        record_checksum_raw(base + offset, record_len);
-    if (rec.checksum != expected) {
-      // Quarantine: the lengths walked us past exactly this record; what
-      // follows is intact and keeps loading.
-      quarantined_ += 1;
-      offset += record_len;
-      continue;
-    }
-    const std::string algorithm(base + offset + sizeof(RecordHeader),
-                                rec.algo_len);
-    const std::string encoding(
-        base + offset + sizeof(RecordHeader) + rec.algo_len, rec.enc_len);
-    shard.index.emplace(key_hash(algorithm, encoding), offset);
-    records_loaded_ += 1;
-    offset += record_len;
-  }
+  const RecordWalk walk = walk_records(base, sizeof(FileHeader), file_size,
+                                       OnBadChecksum::skip, shard.index);
+  quarantined_ += walk.skipped;
+  records_loaded_ += walk.indexed;
+  const std::uint64_t offset = walk.end;
 
   if (offset < file_size && writable()) {
     // Torn or unwalkable tail: truncate so new appends start on a clean
@@ -339,35 +366,11 @@ bool VerdictStore::refresh_tail(Shard& shard) const {
   shard.map = static_cast<const char*>(mapped);
   shard.map_size = static_cast<std::size_t>(file_size);
 
-  const char* base = shard.map;
-  std::uint64_t offset = shard.size;
-  std::uint64_t picked = 0;
-  while (offset < file_size) {
-    if (file_size - offset < sizeof(RecordHeader)) break;
-    RecordHeader rec{};
-    std::memcpy(&rec, base + offset, sizeof(rec));
-    if (rec.algo_len > kMaxKeyBytes || rec.enc_len > kMaxKeyBytes) break;
-    const std::uint64_t record_len =
-        sizeof(RecordHeader) + rec.algo_len + rec.enc_len;
-    if (file_size - offset < record_len) break;
-    if (rec.checksum != record_checksum_raw(base + offset, record_len)) {
-      // Either the writer's write() is still partially visible or the
-      // record is genuinely corrupt; the follower cannot tell, so it holds
-      // the high-water mark here and retries on the next miss. A writer
-      // restart repairs true corruption.
-      break;
-    }
-    const std::string algorithm(base + offset + sizeof(RecordHeader),
-                                rec.algo_len);
-    const std::string encoding(
-        base + offset + sizeof(RecordHeader) + rec.algo_len, rec.enc_len);
-    shard.index.emplace(key_hash(algorithm, encoding), offset);
-    picked += 1;
-    offset += record_len;
-  }
-  shard.size = offset;
-  tail_records_.fetch_add(picked, std::memory_order_relaxed);
-  return picked > 0;
+  const RecordWalk walk = walk_records(shard.map, shard.size, file_size,
+                                       OnBadChecksum::stop, shard.index);
+  shard.size = walk.end;
+  tail_records_.fetch_add(walk.indexed, std::memory_order_relaxed);
+  return walk.indexed > 0;
 }
 
 std::optional<bool> VerdictStore::match_record(

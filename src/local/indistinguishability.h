@@ -8,9 +8,11 @@
 // engine behind both of the paper's lower bounds (Section 2 directly;
 // Section 3 via the neighbourhood generator).
 //
-// `BallProfile` aggregates canonical fingerprints of stripped balls over an
+// `BallProfile` aggregates the canonical encodings of stripped balls over an
 // instance family, built incrementally so that families too large to hold in
-// memory (e.g. all of H_r) can be streamed.
+// memory (e.g. all of H_r) can be streamed. Membership compares full
+// encodings, never hashes: a hash collision must not certify a
+// distinguishable no-instance as indistinguishable.
 #pragma once
 
 #include <cstdint>
@@ -34,19 +36,20 @@ class BallProfile {
 
   // Adds the stripped ball of every node of `g`, routed through the bulk
   // census (graph/isomorphism.h) — isomorphic balls canonicalize once, and
-  // canonicalizations fan over `ctx.pool` when one is set. Fingerprints are
-  // each stripped ball's `canonical_fingerprint()` at any thread count.
+  // canonicalizations fan over `ctx.pool` when one is set. Entries are
+  // each stripped ball's `canonical_encoding()` at any thread count.
   void add_graph(const LabeledGraph& g, const exec::ExecContext& ctx = {});
 
-  bool contains(std::uint64_t fingerprint) const {
-    return fingerprints_.contains(fingerprint);
+  // `encoding` is a stripped ball's `canonical_encoding()`.
+  bool contains(const std::string& encoding) const {
+    return encodings_.contains(encoding);
   }
 
   static BallProfile of_graph(const LabeledGraph& g, int radius);
 
  private:
   int radius_;
-  std::unordered_set<std::uint64_t> fingerprints_;
+  std::unordered_set<std::string> encodings_;
 };
 
 struct AuditResult {

@@ -23,18 +23,6 @@ bool valid_metric_name(const std::string& name) {
   return true;
 }
 
-bool valid_label_name(const std::string& name) {
-  if (name.empty()) return false;
-  auto head = [](char c) {
-    return (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') || c == '_';
-  };
-  if (!head(name[0])) return false;
-  for (char c : name) {
-    if (!head(c) && !(c >= '0' && c <= '9')) return false;
-  }
-  return true;
-}
-
 // Prometheus sample values are floats; integral values render without a
 // fraction so counter samples byte-agree with the JSON surface's integers.
 std::string render_value(double v) {
@@ -59,6 +47,31 @@ const char* type_name(MetricType type) {
       return "histogram";
   }
   return "untyped";
+}
+
+// Samples of a one-value instrument: a single `name value` line, read by
+// `read` at collection time.
+template <typename Read>
+auto scalar(Read read) {
+  return [read](const std::string& name, std::string& out) {
+    out += name + " " + render_value(static_cast<double>(read())) + "\n";
+  };
+}
+
+// Prometheus escaping for HELP text: \\ and \n.
+std::string escape_help(const std::string& s) {
+  std::string out;
+  out.reserve(s.size());
+  for (char c : s) {
+    if (c == '\\') {
+      out += "\\\\";
+    } else if (c == '\n') {
+      out += "\\n";
+    } else {
+      out += c;
+    }
+  }
+  return out;
 }
 
 }  // namespace
@@ -100,222 +113,100 @@ const std::vector<double>& Histogram::default_latency_buckets_seconds() {
   return buckets;
 }
 
-std::string escape_help(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (char c : s) {
-    if (c == '\\') {
-      out += "\\\\";
-    } else if (c == '\n') {
-      out += "\\n";
-    } else {
-      out += c;
-    }
-  }
-  return out;
-}
-
-std::string escape_label_value(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (char c : s) {
-    if (c == '\\') {
-      out += "\\\\";
-    } else if (c == '"') {
-      out += "\\\"";
-    } else if (c == '\n') {
-      out += "\\n";
-    } else {
-      out += c;
-    }
-  }
-  return out;
-}
-
-std::string label_key(std::vector<Label> labels) {
-  if (labels.empty()) return "";
-  std::sort(labels.begin(), labels.end(),
-            [](const Label& a, const Label& b) { return a.name < b.name; });
-  std::string out = "{";
-  for (std::size_t i = 0; i < labels.size(); ++i) {
-    if (i > 0) out += ",";
-    out += labels[i].name;
-    out += "=\"";
-    out += escape_label_value(labels[i].value);
-    out += "\"";
-  }
-  out += "}";
-  return out;
-}
-
-bool Registry::Child::expired() const {
-  return counter.expired() && gauge.expired() && histogram.expired() &&
-         counter_cb.expired() && gauge_cb.expired();
-}
-
-Registry::Family& Registry::family_for(const std::string& name,
-                                       const std::string& help,
-                                       MetricType type) {
+void Registry::add(const std::string& name, const std::string& help,
+                   MetricType type, const std::shared_ptr<void>& owner,
+                   Samples samples) {
   LOCALD_ASSERT(valid_metric_name(name),
                 "metric name must match [a-zA-Z_:][a-zA-Z0-9_:]*");
-  auto [it, inserted] = families_.try_emplace(name);
-  Family& family = it->second;
-  if (inserted) {
-    family.help = help;
-    family.type = type;
-  } else {
-    LOCALD_ASSERT(family.type == type,
-                  "metric re-registered with a different type: " + name);
-  }
-  return family;
+  std::lock_guard<std::mutex> lk(mu_);
+  const auto it = families_.find(name);
+  LOCALD_ASSERT(it == families_.end() || it->second.type == type,
+                "metric re-registered with a different type: " + name);
+  families_[name] = Family{help, type, owner, std::move(samples)};
 }
 
 std::shared_ptr<Counter> Registry::counter(const std::string& name,
-                                           const std::string& help,
-                                           std::vector<Label> labels) {
-  for (const Label& label : labels) {
-    LOCALD_ASSERT(valid_label_name(label.name), "bad label name");
-  }
+                                           const std::string& help) {
   auto metric = std::make_shared<Counter>();
-  std::lock_guard<std::mutex> lk(mu_);
-  Family& family = family_for(name, help, MetricType::counter);
-  Child child;
-  child.labels = labels;
-  child.counter = metric;
-  family.children[label_key(std::move(labels))] = std::move(child);
+  add(name, help, MetricType::counter, metric,
+      scalar([c = metric.get()] { return c->value(); }));
   return metric;
 }
 
 std::shared_ptr<Gauge> Registry::gauge(const std::string& name,
-                                       const std::string& help,
-                                       std::vector<Label> labels) {
-  for (const Label& label : labels) {
-    LOCALD_ASSERT(valid_label_name(label.name), "bad label name");
-  }
+                                       const std::string& help) {
   auto metric = std::make_shared<Gauge>();
-  std::lock_guard<std::mutex> lk(mu_);
-  Family& family = family_for(name, help, MetricType::gauge);
-  Child child;
-  child.labels = labels;
-  child.gauge = metric;
-  family.children[label_key(std::move(labels))] = std::move(child);
+  add(name, help, MetricType::gauge, metric,
+      scalar([g = metric.get()] { return g->value(); }));
   return metric;
 }
 
 std::shared_ptr<Histogram> Registry::histogram(const std::string& name,
                                                const std::string& help,
-                                               std::vector<double> bounds,
-                                               std::vector<Label> labels) {
-  for (const Label& label : labels) {
-    LOCALD_ASSERT(valid_label_name(label.name), "bad label name");
-  }
+                                               std::vector<double> bounds) {
   auto metric = std::make_shared<Histogram>(std::move(bounds));
-  std::lock_guard<std::mutex> lk(mu_);
-  Family& family = family_for(name, help, MetricType::histogram);
-  Child child;
-  child.labels = labels;
-  child.histogram = metric;
-  family.children[label_key(std::move(labels))] = std::move(child);
-  return metric;
-}
-
-MetricHandle Registry::counter_fn(const std::string& name,
-                                  const std::string& help,
-                                  std::function<std::uint64_t()> fn,
-                                  std::vector<Label> labels) {
-  for (const Label& label : labels) {
-    LOCALD_ASSERT(valid_label_name(label.name), "bad label name");
-  }
-  auto cb = std::make_shared<CallbackCounter>();
-  cb->fn = std::move(fn);
-  std::lock_guard<std::mutex> lk(mu_);
-  Family& family = family_for(name, help, MetricType::counter);
-  Child child;
-  child.labels = labels;
-  child.counter_cb = cb;
-  family.children[label_key(std::move(labels))] = std::move(child);
-  return cb;
-}
-
-MetricHandle Registry::gauge_fn(const std::string& name,
-                                const std::string& help,
-                                std::function<double()> fn,
-                                std::vector<Label> labels) {
-  for (const Label& label : labels) {
-    LOCALD_ASSERT(valid_label_name(label.name), "bad label name");
-  }
-  auto cb = std::make_shared<CallbackGauge>();
-  cb->fn = std::move(fn);
-  std::lock_guard<std::mutex> lk(mu_);
-  Family& family = family_for(name, help, MetricType::gauge);
-  Child child;
-  child.labels = labels;
-  child.gauge_cb = cb;
-  family.children[label_key(std::move(labels))] = std::move(child);
-  return cb;
-}
-
-std::string Registry::render_prometheus() {
-  std::lock_guard<std::mutex> lk(mu_);
-  std::string out;
-  for (auto family_it = families_.begin(); family_it != families_.end();) {
-    Family& family = family_it->second;
-    for (auto it = family.children.begin(); it != family.children.end();) {
-      it = it->second.expired() ? family.children.erase(it) : std::next(it);
-    }
-    if (family.children.empty()) {
-      family_it = families_.erase(family_it);
-      continue;
-    }
-    const std::string& name = family_it->first;
-    out += "# HELP " + name + " " + escape_help(family.help) + "\n";
-    out += "# TYPE " + name + " " + std::string(type_name(family.type)) +
-           "\n";
-    for (const auto& [key, child] : family.children) {
-      if (const auto c = child.counter.lock()) {
-        out += name + key + " " +
-               render_value(static_cast<double>(c->value())) + "\n";
-      } else if (const auto cb = child.counter_cb.lock()) {
-        out += name + key + " " +
-               render_value(static_cast<double>(cb->fn())) + "\n";
-      } else if (const auto g = child.gauge.lock()) {
-        out += name + key + " " +
-               render_value(static_cast<double>(g->value())) + "\n";
-      } else if (const auto gb = child.gauge_cb.lock()) {
-        out += name + key + " " + render_value(gb->fn()) + "\n";
-      } else if (const auto h = child.histogram.lock()) {
+  add(name, help, MetricType::histogram, metric,
+      [h = metric.get()](const std::string& n, std::string& out) {
         const Histogram::Snapshot s = h->snapshot();
         // `_bucket` samples are cumulative, closed by the mandatory +Inf.
         std::uint64_t cumulative = 0;
         for (std::size_t b = 0; b < s.counts.size(); ++b) {
           cumulative += s.counts[b];
-          std::vector<Label> bucket_labels = child.labels;
-          bucket_labels.push_back(
-              {"le", b < s.bounds.size() ? render_value(s.bounds[b])
-                                         : "+Inf"});
-          out += name + "_bucket" + label_key(std::move(bucket_labels)) +
-                 " " + render_value(static_cast<double>(cumulative)) + "\n";
+          out += n + "_bucket{le=\"" +
+                 (b < s.bounds.size() ? render_value(s.bounds[b]) : "+Inf") +
+                 "\"} " + render_value(static_cast<double>(cumulative)) +
+                 "\n";
         }
-        out += name + "_sum" + key + " " + render_value(s.sum) + "\n";
-        out += name + "_count" + key + " " +
-               render_value(static_cast<double>(s.count)) + "\n";
-      }
-    }
-    ++family_it;
+        out += n + "_sum " + render_value(s.sum) + "\n";
+        out += n + "_count " + render_value(static_cast<double>(s.count)) +
+               "\n";
+      });
+  return metric;
+}
+
+MetricHandle Registry::counter_fn(const std::string& name,
+                                  const std::string& help,
+                                  std::function<std::uint64_t()> fn) {
+  auto cb = std::make_shared<std::function<std::uint64_t()>>(std::move(fn));
+  add(name, help, MetricType::counter, cb,
+      scalar([f = cb.get()] { return (*f)(); }));
+  return cb;
+}
+
+MetricHandle Registry::gauge_fn(const std::string& name,
+                                const std::string& help,
+                                std::function<double()> fn) {
+  auto cb = std::make_shared<std::function<double()>>(std::move(fn));
+  add(name, help, MetricType::gauge, cb,
+      scalar([f = cb.get()] { return (*f)(); }));
+  return cb;
+}
+
+void Registry::prune() {
+  std::erase_if(families_,
+                [](const auto& entry) { return entry.second.owner.expired(); });
+}
+
+std::string Registry::render_prometheus() {
+  std::lock_guard<std::mutex> lk(mu_);
+  prune();
+  std::string out;
+  for (const auto& [name, family] : families_) {
+    // Held across the sample read: the closure borrows the owner.
+    const std::shared_ptr<void> owner = family.owner.lock();
+    if (!owner) continue;  // expired since the prune
+    out += "# HELP " + name + " " + escape_help(family.help) + "\n";
+    out += "# TYPE " + name + " " + std::string(type_name(family.type)) +
+           "\n";
+    family.samples(name, out);
   }
   return out;
 }
 
 std::size_t Registry::family_count() {
   std::lock_guard<std::mutex> lk(mu_);
-  std::size_t live = 0;
-  for (auto& [name, family] : families_) {
-    for (auto it = family.children.begin(); it != family.children.end();) {
-      it = it->second.expired() ? family.children.erase(it) : std::next(it);
-    }
-    if (!family.children.empty()) ++live;
-  }
-  return live;
+  prune();
+  return families_.size();
 }
 
 Registry& registry() {

@@ -12,9 +12,10 @@
 //    `shared_ptr` instruments and keeps only weak references: dropping the
 //    last owner handle unregisters the metric, so per-run components (a CLI
 //    scenario's cache, a test's server) clean up after themselves.
-//    Re-registering a live (name, labels) pair replaces the exported child
-//    — "last registration wins" — which is what lets sequential `Server`
-//    instances in one process each export fresh zero-based counters.
+//    Each metric name exports exactly one instrument: re-registering a live
+//    name replaces it — "last registration wins" — which is what lets
+//    sequential `Server` instances in one process each export fresh
+//    zero-based counters.
 //  - Callback metrics (`counter_fn`, `gauge_fn`) bridge components whose
 //    source of truth is an existing atomic (canonicalization counters,
 //    `VerdictCache::Stats`, queue depths): the value is pulled at
@@ -38,11 +39,6 @@
 #include <vector>
 
 namespace locald::obs {
-
-struct Label {
-  std::string name;
-  std::string value;
-};
 
 // Monotonic counter. Only the server's acceptor and connection threads add
 // to counters, once per request, connection or response; pool loops never.
@@ -104,64 +100,48 @@ class Registry {
  public:
   // Owned instruments. `name` must match [a-zA-Z_:][a-zA-Z0-9_:]* (checked;
   // violations throw BugError — a bad metric name is a locald defect).
-  // Registering a (name, labels) pair that is already live replaces the
-  // exported child; registering a live name with a different type throws.
+  // Registering a name that is already live replaces its exported
+  // instrument; registering it with a different type throws.
   std::shared_ptr<Counter> counter(const std::string& name,
-                                   const std::string& help,
-                                   std::vector<Label> labels = {});
+                                   const std::string& help);
   std::shared_ptr<Gauge> gauge(const std::string& name,
-                               const std::string& help,
-                               std::vector<Label> labels = {});
+                               const std::string& help);
   std::shared_ptr<Histogram> histogram(const std::string& name,
                                        const std::string& help,
-                                       std::vector<double> upper_bounds,
-                                       std::vector<Label> labels = {});
+                                       std::vector<double> upper_bounds);
 
   // Callback instruments: the value is pulled from `fn` at collection time.
   // The returned handle is the registration's lifetime.
   MetricHandle counter_fn(const std::string& name, const std::string& help,
-                          std::function<std::uint64_t()> fn,
-                          std::vector<Label> labels = {});
+                          std::function<std::uint64_t()> fn);
   MetricHandle gauge_fn(const std::string& name, const std::string& help,
-                        std::function<double()> fn,
-                        std::vector<Label> labels = {});
+                        std::function<double()> fn);
 
   // Prometheus text exposition format 0.0.4: families sorted by name, one
-  // `# HELP` + `# TYPE` pair per family, children sorted by label set,
-  // label values escaped (\\, \", \n). Expired (dropped-handle) children
-  // are pruned as a side effect.
+  // `# HELP` + `# TYPE` pair and one instrument's samples per family, HELP
+  // text escaped (\\, \n). Expired (dropped-handle) families are pruned as a
+  // side effect.
   std::string render_prometheus();
 
-  // Number of live metric families (expired children pruned); for tests.
+  // Number of live metric families (expired ones pruned); for tests.
   std::size_t family_count();
 
  private:
-  struct CallbackCounter {
-    std::function<std::uint64_t()> fn;
-  };
-  struct CallbackGauge {
-    std::function<double()> fn;
-  };
-  struct Child {
-    std::vector<Label> labels;
-    // Exactly one engaged, matching the family type.
-    std::weak_ptr<Counter> counter;
-    std::weak_ptr<Gauge> gauge;
-    std::weak_ptr<Histogram> histogram;
-    std::weak_ptr<CallbackCounter> counter_cb;
-    std::weak_ptr<CallbackGauge> gauge_cb;
-    bool expired() const;
-  };
+  // Appends the family's sample lines, each starting with `name`.
+  using Samples = std::function<void(const std::string& name,
+                                     std::string& out)>;
   struct Family {
     std::string help;
     MetricType type = MetricType::counter;
-    // Keyed by the canonical label serialization, so iteration (and thus
-    // exposition order) is deterministic.
-    std::map<std::string, Child> children;
+    std::weak_ptr<void> owner;  // the exported instrument or callback
+    Samples samples;            // reads `owner`; called only while it lives
   };
 
-  Family& family_for(const std::string& name, const std::string& help,
-                     MetricType type);
+  // The one registration path: checks the name and the type, then makes
+  // `owner` the name's exported instrument.
+  void add(const std::string& name, const std::string& help, MetricType type,
+           const std::shared_ptr<void>& owner, Samples samples);
+  void prune();  // caller holds mu_
 
   std::mutex mu_;
   std::map<std::string, Family> families_;
@@ -169,14 +149,5 @@ class Registry {
 
 // The process-wide registry every subsystem registers into.
 Registry& registry();
-
-// Canonical serialization of a label set: sorted by label name,
-// `{k="v",...}` with Prometheus escaping; empty string for no labels.
-std::string label_key(std::vector<Label> labels);
-
-// Prometheus escaping for HELP text (\\ and \n) and label values
-// (\\, \" and \n).
-std::string escape_help(const std::string& s);
-std::string escape_label_value(const std::string& s);
 
 }  // namespace locald::obs

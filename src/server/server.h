@@ -183,10 +183,10 @@ class Server {
 
   std::optional<obs::AccessLog> access_log_;  // engaged via access_log_path
 
-  // Registry-backed instruments (the old hand-maintained atomics). The
-  // server owns the handles; `metrics()` and the Prometheus exposition read
-  // the same objects, so the two surfaces cannot disagree. A later Server
-  // in the same process re-registers the names and wins the export.
+  // Registry-backed instruments. The server owns the handles; `metrics()`
+  // and the Prometheus exposition read the same objects, so the two surfaces
+  // cannot disagree. A later Server in the same process re-registers the
+  // names and wins the export.
   std::shared_ptr<obs::Counter> requests_total_;
   std::shared_ptr<obs::Counter> connections_total_;
   std::shared_ptr<obs::Counter> rejected_total_;

@@ -292,6 +292,15 @@ TEST(BallProfile, DetectsDistinguishableInstances) {
   EXPECT_FALSE(audit.indistinguishable());
   EXPECT_GE(audit.missing, 2u);  // both endpoints
   EXPECT_FALSE(audit.missing_witnesses.empty());
+  // The profile holds full canonical encodings of stripped balls: an
+  // interior path ball, extracted with identifiers and then stripped, is a
+  // member; an endpoint ball is not.
+  const IdAssignment ids({10, 11, 12, 13, 14});
+  const Ball interior = extract_ball(path, &ids, 2, 1);
+  EXPECT_TRUE(
+      profile.contains(interior.view().without_ids().canonical_encoding()));
+  EXPECT_FALSE(
+      profile.contains(extract_ball(path, nullptr, 0, 1).canonical_encoding()));
 }
 
 // Grid vs torus: radius-1 balls of the torus interior match grid interiors,

@@ -123,19 +123,15 @@ TEST(Metrics, CallbackCounterPullsAtCollection) {
 // --------------------------------------------------------------------------
 
 TEST(Metrics, PrometheusGrammarAndEscaping) {
-  auto c = obs::registry().counter(
-      "test_obs_labeled_total", "help with \\ backslash\nand newline",
-      {{"path", "a\"b\\c\nd"}});
+  auto c = obs::registry().counter("test_obs_escaped_total",
+                                   "help with \\ backslash\nand newline");
   c->add(2);
   const std::string text = obs::registry().render_prometheus();
-  EXPECT_NE(text.find("# HELP test_obs_labeled_total help with \\\\ "
+  EXPECT_NE(text.find("# HELP test_obs_escaped_total help with \\\\ "
                       "backslash\\nand newline\n"),
             std::string::npos);
-  EXPECT_NE(text.find("# TYPE test_obs_labeled_total counter\n"),
+  EXPECT_NE(text.find("# TYPE test_obs_escaped_total counter\n"),
             std::string::npos);
-  EXPECT_NE(
-      text.find("test_obs_labeled_total{path=\"a\\\"b\\\\c\\nd\"} 2\n"),
-      std::string::npos);
 }
 
 TEST(Metrics, PrometheusHistogramCumulativeWithInf) {
@@ -166,11 +162,80 @@ TEST(Metrics, RejectsMalformedNames) {
   EXPECT_THROW(obs::registry().counter("", "empty"), BugError);
 }
 
-TEST(Metrics, LabelKeyIsSortedAndCanonical) {
-  const std::string key =
-      obs::label_key({{"z", "1"}, {"a", "2"}});
-  EXPECT_EQ(key, "{a=\"2\",z=\"1\"}");
-  EXPECT_EQ(obs::label_key({}), "");
+TEST(Metrics, ReRegisteringWithAnotherTypeThrows) {
+  auto c = obs::registry().counter("test_obs_typed_total", "typed");
+  c->add(5);
+  EXPECT_THROW(obs::registry().gauge("test_obs_typed_total", "typed"),
+               BugError);
+  EXPECT_THROW(obs::registry().histogram("test_obs_typed_total", "typed",
+                                         {1.0}),
+               BugError);
+  EXPECT_THROW(obs::registry().gauge_fn("test_obs_typed_total", "typed",
+                                        [] { return 1.0; }),
+               BugError);
+  // The rejected registrations left the live counter exported.
+  const std::string text = obs::registry().render_prometheus();
+  EXPECT_NE(text.find("# TYPE test_obs_typed_total counter\n"
+                      "test_obs_typed_total 5\n"),
+            std::string::npos);
+}
+
+// The exact exposition bytes of one instrument of each kind, a replaced and
+// a dropped registration, and an escaped HELP text. Only lines of this
+// test's families are compared, so other tests' metrics do not interfere.
+TEST(Metrics, ExpositionBytesArePinned) {
+  auto counter = obs::registry().counter("test_obs_pin_counter_total",
+                                         "pinned counter");
+  counter->add(3);
+  auto gauge = obs::registry().gauge("test_obs_pin_gauge",
+                                     "pinned \\ gauge\nsecond line");
+  gauge->add(-2);
+  auto hist = obs::registry().histogram("test_obs_pin_hist_seconds",
+                                        "pinned histogram", {0.25, 1.0});
+  hist->observe(0.125);
+  hist->observe(0.5);
+  hist->observe(2.0);
+  auto counter_cb = obs::registry().counter_fn(
+      "test_obs_pin_cb_total", "pinned callback counter",
+      [] { return std::uint64_t{7}; });
+  auto gauge_cb = obs::registry().gauge_fn(
+      "test_obs_pin_cb_ratio", "pinned callback gauge", [] { return 0.5; });
+  auto replaced = obs::registry().counter("test_obs_pin_replaced_total",
+                                          "pinned replacement");
+  replaced->add(41);
+  auto replacement = obs::registry().counter("test_obs_pin_replaced_total",
+                                             "pinned replacement");
+  replacement->add(1);
+  obs::registry().counter("test_obs_pin_dropped_total", "dropped")->add(9);
+
+  std::istringstream text(obs::registry().render_prometheus());
+  std::string pinned;
+  for (std::string line; std::getline(text, line);) {
+    if (line.find("test_obs_pin_") != std::string::npos) pinned += line + "\n";
+  }
+  EXPECT_EQ(pinned,
+            "# HELP test_obs_pin_cb_ratio pinned callback gauge\n"
+            "# TYPE test_obs_pin_cb_ratio gauge\n"
+            "test_obs_pin_cb_ratio 0.5\n"
+            "# HELP test_obs_pin_cb_total pinned callback counter\n"
+            "# TYPE test_obs_pin_cb_total counter\n"
+            "test_obs_pin_cb_total 7\n"
+            "# HELP test_obs_pin_counter_total pinned counter\n"
+            "# TYPE test_obs_pin_counter_total counter\n"
+            "test_obs_pin_counter_total 3\n"
+            "# HELP test_obs_pin_gauge pinned \\\\ gauge\\nsecond line\n"
+            "# TYPE test_obs_pin_gauge gauge\n"
+            "test_obs_pin_gauge -2\n"
+            "# HELP test_obs_pin_hist_seconds pinned histogram\n"
+            "# TYPE test_obs_pin_hist_seconds histogram\n"
+            "test_obs_pin_hist_seconds_bucket{le=\"0.25\"} 1\n"
+            "test_obs_pin_hist_seconds_bucket{le=\"1\"} 2\n"
+            "test_obs_pin_hist_seconds_bucket{le=\"+Inf\"} 3\n"
+            "test_obs_pin_hist_seconds_sum 2.625\n"
+            "test_obs_pin_hist_seconds_count 3\n"
+            "# HELP test_obs_pin_replaced_total pinned replacement\n"
+            "# TYPE test_obs_pin_replaced_total counter\n"
+            "test_obs_pin_replaced_total 1\n");
 }
 
 // --------------------------------------------------------------------------

@@ -580,6 +580,44 @@ TEST(VerdictStore, WriterCrashMidAppendLeavesFollowerOnLastGoodPrefix) {
   EXPECT_TRUE(*follower.lookup(fp("ball-a"), "alg", "ball-a"));
 }
 
+TEST(VerdictStore, CorruptRecordStopsAFollowerButIsQuarantinedOnReopen) {
+  TempDir dir;
+  {
+    VerdictStore writer(dir.path, 1);
+    writer.append(fp("ball-a"), "alg", "ball-a", true);
+  }
+  VerdictStore follower(dir.path, 1, VerdictStore::Role::follower);
+  {
+    VerdictStore writer(dir.path, 1);
+    writer.append(fp("ball-b"), "alg", "ball-b", false);
+    writer.append(fp("ball-c"), "alg", "ball-c", true);
+    writer.append(fp("ball-d"), "alg", "ball-d", true);
+  }
+  // Flip a checksum byte of the third record (ball-c) mid-log; every
+  // record here is a header plus "alg" plus a 6-byte encoding.
+  constexpr std::size_t kRecordBytes = kRecordHeaderBytes + 3 + 6;
+  flip_byte(only_shard(dir.path),
+            static_cast<off_t>(kFileHeaderBytes + 2 * kRecordBytes));
+
+  // The follower cannot tell corruption from a write still in flight: its
+  // refresh indexes ball-b and holds the high-water mark in front of
+  // ball-c, so nothing past that record is indexed.
+  ASSERT_TRUE(follower.lookup(fp("ball-b"), "alg", "ball-b").has_value());
+  EXPECT_FALSE(follower.lookup(fp("ball-c"), "alg", "ball-c").has_value());
+  EXPECT_FALSE(follower.lookup(fp("ball-d"), "alg", "ball-d").has_value());
+  EXPECT_EQ(follower.stats().tail_records, 1u);
+
+  // A writer reopening the same log quarantines only that record.
+  VerdictStore reopened(dir.path, 1);
+  EXPECT_EQ(reopened.stats().quarantined, 1u);
+  EXPECT_EQ(reopened.stats().records_loaded, 3u);
+  EXPECT_EQ(reopened.stats().dropped_bytes, 0u);
+  EXPECT_TRUE(*reopened.lookup(fp("ball-a"), "alg", "ball-a"));
+  EXPECT_FALSE(*reopened.lookup(fp("ball-b"), "alg", "ball-b"));
+  EXPECT_FALSE(reopened.lookup(fp("ball-c"), "alg", "ball-c").has_value());
+  EXPECT_TRUE(*reopened.lookup(fp("ball-d"), "alg", "ball-d"));
+}
+
 TEST(VerdictStore, FollowerBackedCacheSkipsWriteThrough) {
   TempDir dir;
   VerdictStore writer(dir.path, 1);
