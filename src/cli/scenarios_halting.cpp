@@ -41,7 +41,7 @@ bool run_fig2(const ScenarioOptions& opts, std::ostream& out) {
   TextTable table(columns);
   // One verifier object behind both columns: the decider is gated on it, so
   // each machine's verifier context is built once and one panel decides
-  // both columns from a single extraction and verification of each ball.
+  // both columns from one verification of each node.
   const std::shared_ptr<const local::LocalAlgorithm> verifier =
       halting::make_gmr_verifier(3, policy, false, budget);
   const auto decider = halting::make_gmr_decider(verifier);
@@ -59,11 +59,11 @@ bool run_fig2(const ScenarioOptions& opts, std::ostream& out) {
       tbl = cat(inst.table_side, "x", inst.table_side);
       g_size = cat(inst.graph.node_count());
       used = cat(inst.fragment_count);
-      // The verifier runs on the stripped balls through the shared cache,
-      // which class-keys the thousands of small repeating grid-cell balls
-      // and size-caps the pivot's huge unique hub balls out (see
-      // decide_ball in local/simulator.cpp). The decider reuses each node's
-      // verifier verdict and runs only its id-dependent tail.
+      // The verifier decides every node in bulk from radius-1 node facts
+      // and extracts no ball, not even the pivot's (see evaluate_all in
+      // halting/verifier.h), so the shared cache sees no lookup. The
+      // decider reuses each node's verifier verdict and runs only its
+      // id-dependent tail on the centre's label and id.
       const auto ids = local::make_consecutive(inst.graph.node_count());
       const auto runs = local::run_panel({verifier.get(), decider.get()},
                                          inst.graph, &ids, {opts.exec});
@@ -270,8 +270,8 @@ bool run_ablation(const ScenarioOptions& opts, std::ostream& out) {
     halting::GmrParams params{m, 1, 3, policy, false, 4096};
     const auto inst = halting::build_gmr(params);
     const auto verifier = halting::make_gmr_verifier(3, policy, false, 4096);
-    // Memoized (see run_fig2): back on the shared cache, with the engine's
-    // hub-ball size cap keeping the pivot balls out of the keying cost.
+    // Decided in bulk from node facts, like run_fig2's verify column: no
+    // ball is extracted and the shared cache sees no lookup.
     const bool verified =
         local::run_oblivious(*verifier, inst.graph, {opts.exec}).accepted;
     ok = ok && verified;

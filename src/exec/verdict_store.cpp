@@ -30,6 +30,11 @@ struct FileHeader {
 };
 static_assert(sizeof(FileHeader) == 16);
 
+std::int64_t mtime_ns(const struct stat& st) {
+  return static_cast<std::int64_t>(st.st_mtim.tv_sec) * 1'000'000'000 +
+         st.st_mtim.tv_nsec;
+}
+
 struct RecordHeader {
   std::uint32_t checksum;
   std::uint32_t algo_len;
@@ -334,6 +339,8 @@ void VerdictStore::open_shard(Shard& shard, std::size_t index) {
     // mark stays at the last whole record until a tail refresh moves it.
     shard.map = base;
     shard.map_size = static_cast<std::size_t>(file_size);
+    shard.walked_size = file_size;
+    shard.walked_mtime_ns = mtime_ns(st);
   }
   shard.size = offset;
   if (writable()) {
@@ -349,7 +356,11 @@ bool VerdictStore::refresh_tail(Shard& shard) const {
   struct stat st{};
   if (::fstat(shard.fd, &st) != 0) return false;
   const std::uint64_t file_size = static_cast<std::uint64_t>(st.st_size);
-  if (file_size <= shard.size) return false;  // nothing new
+  if (file_size <= shard.size ||
+      (file_size == shard.walked_size &&
+       mtime_ns(st) == shard.walked_mtime_ns)) {
+    return false;  // nothing new since the last walk
+  }
   tail_refreshes_.fetch_add(1, std::memory_order_relaxed);
 
   // Records are append-only and immutable, so a refresh is a fresh private
@@ -369,6 +380,8 @@ bool VerdictStore::refresh_tail(Shard& shard) const {
   const RecordWalk walk = walk_records(shard.map, shard.size, file_size,
                                        OnBadChecksum::stop, shard.index);
   shard.size = walk.end;
+  shard.walked_size = file_size;
+  shard.walked_mtime_ns = mtime_ns(st);
   tail_records_.fetch_add(walk.indexed, std::memory_order_relaxed);
   return walk.indexed > 0;
 }

@@ -84,7 +84,9 @@ class VerdictStore {
   // picks the shard exactly as in VerdictCache::lookup. In follower mode a
   // miss against the in-memory index triggers a tail refresh — the shard is
   // remapped and any records the writer appended past the follower's
-  // high-water offset are indexed — before the miss is final.
+  // high-water offset are indexed — before the miss is final. The refresh
+  // happens only if the shard file changed since the follower last walked
+  // it, so a record the walk cannot pass does not cost a remap per miss.
   std::optional<bool> lookup(std::uint64_t fingerprint,
                              const std::string& algorithm,
                              const std::string& encoding) const;
@@ -135,6 +137,11 @@ class VerdictStore {
     mutable std::mutex mu;
     int fd = -1;
     std::uint64_t size = 0;       // logical end of the log
+    // Follower: the file's size and modification time at the last walk. A
+    // walk that stopped short of the end (a bad checksum, or a write still
+    // in flight) is retried only once the file has changed since.
+    std::uint64_t walked_size = 0;
+    std::int64_t walked_mtime_ns = 0;
     const char* map = nullptr;    // mapping of [0, map_size) made at open
     std::size_t map_size = 0;
     // key-hash → record offset; multimap so a 64-bit collision keeps both
@@ -146,7 +153,8 @@ class VerdictStore {
   void open_shard(Shard& shard, std::size_t index);
   // Follower: remap the shard past its high-water offset and index every
   // complete, checksum-valid record that landed since. Returns whether any
-  // new record was picked up. Caller holds shard.mu.
+  // new record was picked up. A file unchanged since the last walk is not
+  // remapped. Caller holds shard.mu.
   bool refresh_tail(Shard& shard) const;
   // Reads the record at `offset` and returns its verdict iff its key
   // equals (algorithm, encoding).

@@ -1,8 +1,10 @@
 #include "halting/analysis.h"
 
+#include <algorithm>
 #include <bit>
 #include <cmath>
 
+#include "obs/trace.h"
 #include "support/format.h"
 #include "tm/run.h"
 
@@ -13,9 +15,9 @@ namespace {
 using local::BallView;
 using local::Verdict;
 
-// Decodes the machine named in the centre's label; nullopt on garbage.
-std::optional<tm::TuringMachine> machine_of(const BallView& ball) {
-  const auto decoded = decode_label(ball.center_label());
+// Decodes the machine named in a centre's label; nullopt on garbage.
+std::optional<tm::TuringMachine> machine_of(const local::Label& center) {
+  const auto decoded = decode_label(center);
   if (!decoded.has_value()) {
     return std::nullopt;
   }
@@ -26,6 +28,57 @@ std::optional<tm::TuringMachine> machine_of(const BallView& ball) {
   }
 }
 
+// The simulation every decider here runs on the centre alone: no if the
+// machine named in `center` does not decode or halts within `budget` steps
+// with a non-0 output, yes otherwise.
+Verdict simulate_center(const local::Label& center, long long budget) {
+  const auto m = machine_of(center);
+  if (!m.has_value()) {
+    return Verdict::no;
+  }
+  const tm::RunOutcome run = tm::run_machine(*m, budget);
+  return run.halted && run.output != 0 ? Verdict::no : Verdict::yes;
+}
+
+// Id-oblivious candidate: the verifier's verdict, then a bounded simulation
+// of the centre's machine. Its whole-graph path reuses the verifier's.
+class BoundedSimulation final : public local::LocalAlgorithm {
+ public:
+  BoundedSimulation(std::unique_ptr<local::LocalAlgorithm> verifier,
+                    long long sim_budget)
+      : verifier_(std::move(verifier)), sim_budget_(sim_budget) {}
+
+  std::string name() const override {
+    return cat("candidate-simulate-", sim_budget_);
+  }
+  int horizon() const override { return verifier_->horizon(); }
+  bool id_oblivious() const override { return true; }
+
+  Verdict evaluate(const BallView& ball) const override {
+    return verifier_->evaluate(ball) == Verdict::no
+               ? Verdict::no
+               : simulate_center(ball.center_label(), sim_budget_);
+  }
+
+  std::optional<std::vector<Verdict>> evaluate_all(
+      const local::LabeledGraph& g, exec::ThreadPool* pool) const override {
+    auto out = verifier_->evaluate_all(g, pool);
+    if (!out.has_value()) {
+      return std::nullopt;
+    }
+    for (std::size_t v = 0; v < out->size(); ++v) {
+      if ((*out)[v] == Verdict::yes) {
+        (*out)[v] = simulate_center(g.labels()[v], sim_budget_);
+      }
+    }
+    return out;
+  }
+
+ private:
+  std::unique_ptr<local::LocalAlgorithm> verifier_;
+  long long sim_budget_;
+};
+
 }  // namespace
 
 std::unique_ptr<local::LocalAlgorithm> make_gmr_decider(
@@ -33,19 +86,10 @@ std::unique_ptr<local::LocalAlgorithm> make_gmr_decider(
   std::string name = cat("decide-G(M,r)[", verifier->name(), "]");
   return std::make_unique<local::GatedAlgorithm>(
       std::move(name), std::move(verifier),
-      [sim_cap](const BallView& ball) {
-        const auto m = machine_of(ball);
-        if (!m.has_value()) {
-          return Verdict::no;
-        }
-        const long long budget = static_cast<long long>(
-            std::min<local::Id>(ball.center_id(),
-                                static_cast<local::Id>(sim_cap)));
-        const tm::RunOutcome run = tm::run_machine(*m, budget);
-        if (run.halted && run.output != 0) {
-          return Verdict::no;
-        }
-        return Verdict::yes;
+      [sim_cap](const local::Label& center, local::Id center_id) {
+        return simulate_center(
+            center, static_cast<long long>(std::min<local::Id>(
+                        center_id, static_cast<local::Id>(sim_cap))));
       });
 }
 
@@ -96,50 +140,32 @@ bool separation_accepts(const local::LocalAlgorithm& oblivious_candidate,
                         const GmrParams& params) {
   LOCALD_CHECK(oblivious_candidate.id_oblivious(),
                "the separation algorithm runs Id-oblivious candidates");
+  obs::Span span("separation-run", params.machine.name());
   const GeneratedBalls gen =
       neighborhood_generator(params, oblivious_candidate.horizon());
-  local::BallScratch scratch;
-  for (graph::NodeId v : gen.centers) {
-    const BallView ball =
-        scratch.extract(gen.host, nullptr, v, oblivious_candidate.horizon());
-    if (oblivious_candidate.evaluate(ball) == Verdict::no) {
-      return false;
-    }
-  }
-  return true;
+  // One run over the whole host (in bulk when the candidate offers it);
+  // only the eligible centres' verdicts count.
+  const local::RunResult run = local::run_oblivious(oblivious_candidate,
+                                                    gen.host);
+  return std::all_of(gen.centers.begin(), gen.centers.end(),
+                     [&](graph::NodeId v) {
+                       return run.outputs[static_cast<std::size_t>(v)] ==
+                              Verdict::yes;
+                     });
 }
 
 std::unique_ptr<local::LocalAlgorithm> candidate_structure_only(
     int fragment_size, tm::FragmentPolicy policy, bool pyramidal,
     long long step_budget) {
-  std::shared_ptr<const local::LocalAlgorithm> verifier =
-      make_gmr_verifier(fragment_size, policy, pyramidal, step_budget);
-  return local::make_oblivious(
-      "candidate-structure-only", 2,
-      [verifier](const BallView& ball) { return verifier->evaluate(ball); });
+  return make_gmr_verifier(fragment_size, policy, pyramidal, step_budget);
 }
 
 std::unique_ptr<local::LocalAlgorithm> candidate_bounded_simulation(
     int fragment_size, tm::FragmentPolicy policy, bool pyramidal,
     long long step_budget, long long sim_budget) {
-  std::shared_ptr<const local::LocalAlgorithm> verifier =
-      make_gmr_verifier(fragment_size, policy, pyramidal, step_budget);
-  return local::make_oblivious(
-      cat("candidate-simulate-", sim_budget), 2,
-      [verifier, sim_budget](const BallView& ball) {
-        if (verifier->evaluate(ball) == Verdict::no) {
-          return Verdict::no;
-        }
-        const auto m = machine_of(ball);
-        if (!m.has_value()) {
-          return Verdict::no;
-        }
-        const tm::RunOutcome run = tm::run_machine(*m, sim_budget);
-        if (run.halted && run.output != 0) {
-          return Verdict::no;
-        }
-        return Verdict::yes;
-      });
+  return std::make_unique<BoundedSimulation>(
+      make_gmr_verifier(fragment_size, policy, pyramidal, step_budget),
+      sim_budget);
 }
 
 std::vector<SeparationRow> run_separation_experiment(
@@ -148,6 +174,7 @@ std::vector<SeparationRow> run_separation_experiment(
         candidates,
     const std::vector<tm::TuringMachine>& machines, int r, int fragment_size,
     tm::FragmentPolicy policy, bool pyramidal, long long step_budget) {
+  obs::Span span("separation-experiment");
   std::vector<SeparationRow> rows;
   for (const auto& [name, candidate] : candidates) {
     for (const tm::TuringMachine& machine : machines) {
@@ -189,10 +216,6 @@ class RandomizedGmrDecider final : public local::RandomizedLocalAlgorithm {
     if (verifier_->evaluate(ball) == Verdict::no) {
       return Verdict::no;
     }
-    const auto m = machine_of(ball);
-    if (!m.has_value()) {
-      return Verdict::no;
-    }
     // n_v = 4^{tosses until first head} (Section 3.3), capped to keep the
     // simulation finite in practice.
     const int tosses = std::min(coin.coin_tosses_until_head(), 30);
@@ -204,11 +227,7 @@ class RandomizedGmrDecider final : public local::RandomizedLocalAlgorithm {
         break;
       }
     }
-    const tm::RunOutcome run = tm::run_machine(*m, budget);
-    if (run.halted && run.output != 0) {
-      return Verdict::no;
-    }
-    return Verdict::yes;
+    return simulate_center(ball.center_label(), budget);
   }
 
  private:

@@ -6,6 +6,8 @@
 #include <optional>
 #include <set>
 
+#include "exec/thread_pool.h"
+#include "obs/trace.h"
 #include "support/format.h"
 #include "tm/run.h"
 
@@ -36,19 +38,140 @@ Relation classify(const DecodedLabel& a, const DecodedLabel& b) {
   return Relation::invalid;
 }
 
+// What the check of a centre c needs to know about a node x of N[c]. Every
+// field depends on x's radius-1 neighbourhood only, so a host graph computes
+// it once per node and each centre around x reads it.
+struct NodeFact {
+  std::optional<DecodedLabel> header;  // x's own; M is not copied
+  // x decodes and every neighbour decodes to x's (M, r).
+  bool matched = false;
+  // x or a neighbour has the pyramid role (meaningful when matched).
+  bool pyramid_near = false;
+  // Glue edges at x: cell neighbours of another grid (when matched).
+  int glue_degree = 0;
+};
+
+template <class Labels>
+NodeFact node_fact(const graph::CsrSpan& g, const Labels& label,
+                   graph::NodeId x) {
+  NodeFact fact;
+  const local::Label& raw = label(x);
+  fact.header = decode_header(raw);
+  if (!fact.header.has_value()) {
+    return fact;
+  }
+  const DecodedLabel& hx = *fact.header;
+  fact.pyramid_near = hx.role == kRolePyramid;
+  for (graph::NodeId w : g.neighbors(x)) {
+    const local::Label& raw_w = label(w);
+    const auto hw = decode_header(raw_w);
+    if (!hw.has_value() || hw->r != hx.r || !same_machine(raw_w, raw)) {
+      return fact;
+    }
+    fact.pyramid_near = fact.pyramid_near || hw->role == kRolePyramid;
+    if (hx.is_cell() && hw->is_cell() &&
+        classify(hx, *hw) == Relation::glue) {
+      ++fact.glue_degree;
+    }
+  }
+  fact.matched = true;
+  return fact;
+}
+
+// dist(u, w) <= 2: equal, adjacent or sharing a neighbour. Rows are sorted,
+// so each probe is a binary search in the longer row.
+bool within_two(const graph::CsrSpan& g, graph::NodeId u, graph::NodeId w) {
+  graph::NeighborSpan shorter = g.neighbors(u);
+  graph::NeighborSpan longer = g.neighbors(w);
+  if (shorter.size() > longer.size()) {
+    std::swap(shorter, longer);
+    std::swap(u, w);
+  }
+  // `longer` is w's row.
+  const auto in_longer = [&](graph::NodeId x) {
+    return std::binary_search(longer.begin(), longer.end(), x);
+  };
+  return u == w || in_longer(u) ||
+         std::any_of(shorter.begin(), shorter.end(), in_longer);
+}
+
+// The check of centre c reads B(c, 2) through a patch:
+//  - neighbors(u): u's neighbours, possibly some outside B(c, 2);
+//  - contains(w): whether such a neighbour is a member, so an edge between
+//    two distance-2 members counts exactly as in the extracted ball;
+//  - header(u): u's decoded header, or null (never for a member once
+//    step 1 has passed);
+//  - fact(x) for x in N[c].
+// BallPatch reads an extracted ball: it is the semantic definition.
+// HostPatch reads the host graph and facts computed once per host node.
+class BallPatch {
+ public:
+  explicit BallPatch(const BallView& ball) : ball_(ball) {
+    headers_.reserve(static_cast<std::size_t>(ball.node_count()));
+    for (graph::NodeId v = 0; v < ball.node_count(); ++v) {
+      headers_.push_back(decode_header(ball.label(v)));
+    }
+  }
+
+  graph::NodeId center() const { return ball_.center; }
+  graph::NeighborSpan neighbors(graph::NodeId u) const {
+    return ball_.g.neighbors(u);
+  }
+  bool contains(graph::NodeId) const { return true; }
+  const DecodedLabel* header(graph::NodeId u) const {
+    const auto& h = headers_[static_cast<std::size_t>(u)];
+    return h.has_value() ? &*h : nullptr;
+  }
+  NodeFact fact(graph::NodeId x) const {
+    return node_fact(
+        ball_.g,
+        [this](graph::NodeId v) -> const local::Label& {
+          return ball_.label(v);
+        },
+        x);
+  }
+
+ private:
+  const BallView& ball_;
+  std::vector<std::optional<DecodedLabel>> headers_;
+};
+
+class HostPatch {
+ public:
+  HostPatch(const graph::CsrSpan& g, const std::vector<NodeFact>& facts,
+            graph::NodeId c)
+      : g_(g), facts_(facts), c_(c) {}
+
+  graph::NodeId center() const { return c_; }
+  graph::NeighborSpan neighbors(graph::NodeId u) const {
+    return g_.neighbors(u);
+  }
+  bool contains(graph::NodeId w) const { return within_two(g_, c_, w); }
+  const DecodedLabel* header(graph::NodeId u) const {
+    const auto& h = facts_[static_cast<std::size_t>(u)].header;
+    return h.has_value() ? &*h : nullptr;
+  }
+  const NodeFact& fact(graph::NodeId x) const {
+    return facts_[static_cast<std::size_t>(x)];
+  }
+
+ private:
+  const graph::CsrSpan& g_;
+  const std::vector<NodeFact>& facts_;
+  graph::NodeId c_;
+};
+
 // position[v] = (dx, dy) relative to an origin within its grid component
-// (only nodes reachable from the origin via grid edges), and its inverse.
+// (only members reachable from the origin via grid edges), and its inverse.
 struct Geometry {
   std::map<graph::NodeId, std::pair<int, int>> position;
   std::map<std::pair<int, int>, graph::NodeId> at;
 };
 
-struct ParsedBall {
-  // Header-only labels (machine_encoding empty): step 1 has checked that
-  // every node carries the centre's (M, r).
-  std::vector<DecodedLabel> labels;
-  Geometry geo;  // around the centre
-  std::vector<graph::NodeId> glue_partners_of_center;
+// A glue neighbour of the centre and its own glue degree.
+struct GluePartner {
+  graph::NodeId node = 0;
+  int glue_degree = 0;
 };
 
 struct MachineCtx {
@@ -66,27 +189,10 @@ bool is_pivot_like(const MachineCtx& ctx, const DecodedLabel& l) {
          l.xm3 == 0 && l.ym3 == 0;
 }
 
-// Glue degree of `v` within the ball (edges with no valid grid relation).
-int glue_degree(const BallView& ball, const ParsedBall& parsed, graph::NodeId v) {
-  int count = 0;
-  for (graph::NodeId w : ball.g.neighbors(v)) {
-    const auto& lv = parsed.labels[static_cast<std::size_t>(v)];
-    const auto& lw = parsed.labels[static_cast<std::size_t>(w)];
-    if (!lv.is_cell() || !lw.is_cell()) {
-      continue;
-    }
-    if (classify(lv, lw) == Relation::glue) {
-      ++count;
-    }
-  }
-  return count;
-}
-
 // BFS position assignment over grid edges starting from `origin`.
 // Returns false on geometric inconsistency.
-bool assign_positions(const BallView& ball,
-                      const std::vector<DecodedLabel>& labels,
-                      graph::NodeId origin, Geometry& geo) {
+template <class Patch>
+bool assign_positions(const Patch& p, graph::NodeId origin, Geometry& geo) {
   std::vector<graph::NodeId> queue{origin};
   geo.position[origin] = {0, 0};
   geo.at[{0, 0}] = origin;
@@ -94,18 +200,18 @@ bool assign_positions(const BallView& ball,
   while (head < queue.size()) {
     const graph::NodeId u = queue[head++];
     const auto [ux, uy] = geo.position.at(u);
-    const auto& lu = labels[static_cast<std::size_t>(u)];
-    for (graph::NodeId w : ball.g.neighbors(u)) {
-      const auto& lw = labels[static_cast<std::size_t>(w)];
-      if (!lu.is_cell() || !lw.is_cell()) {
+    const DecodedLabel& lu = *p.header(u);
+    for (graph::NodeId w : p.neighbors(u)) {
+      const DecodedLabel* lw = p.header(w);
+      if (lw == nullptr || !lu.is_cell() || !lw->is_cell()) {
         continue;
       }
-      const Relation rel = classify(lu, lw);
+      const Relation rel = classify(lu, *lw);
+      if (rel == Relation::glue || !p.contains(w)) {
+        continue;
+      }
       if (rel == Relation::invalid) {
         return false;
-      }
-      if (rel == Relation::glue) {
-        continue;
       }
       int wx = ux;
       int wy = uy;
@@ -153,76 +259,123 @@ class GmrVerifier final : public local::LocalAlgorithm {
   bool id_oblivious() const override { return true; }
 
   Verdict evaluate(const BallView& ball) const override {
-    // Step 1: everyone shares (M, r). Only the centre's machine is
-    // copied out; every other label is checked in place against it.
-    const local::Label& center_raw = ball.center_label();
-    const auto center = decode_label(center_raw);
-    if (!center.has_value()) {
+    return check(BallPatch(ball),
+                 [&] { return context_of(ball.center_label()); });
+  }
+
+  // Facts once per host node, then one check per centre; no ball is
+  // extracted, not even the pivot's.
+  std::optional<std::vector<Verdict>> evaluate_all(
+      const local::LabeledGraph& g, exec::ThreadPool* pool) const override {
+    const std::size_t n = static_cast<std::size_t>(g.node_count());
+    const graph::CsrSpan host = g.graph().span();
+    const std::vector<local::Label>& labels = g.labels();
+    std::vector<NodeFact> facts(n);
+    std::vector<const MachineCtx*> contexts(n, nullptr);
+    {
+      obs::Span span("gmr-node-facts");
+      exec::parallel_for(pool, n, [&](std::size_t x) {
+        facts[x] = node_fact(
+            host,
+            [&labels](graph::NodeId v) -> const local::Label& {
+              return labels[static_cast<std::size_t>(v)];
+            },
+            static_cast<graph::NodeId>(x));
+      });
+      // Machine contexts of the nodes step 1 may pass. Nodes in id order
+      // nearly always carry the previous node's machine, so a run of them
+      // shares one memo lookup.
+      const local::Label* run_label = nullptr;
+      const MachineCtx* run_ctx = nullptr;
+      for (std::size_t v = 0; v < n; ++v) {
+        if (!facts[v].matched) {
+          continue;
+        }
+        if (run_label == nullptr || !same_machine(labels[v], *run_label)) {
+          run_label = &labels[v];
+          run_ctx = context_of(*run_label);
+        }
+        contexts[v] = run_ctx;
+      }
+    }
+    std::vector<Verdict> out(n);
+    obs::Span span("gmr-centre-checks");
+    exec::parallel_for(pool, n, [&](std::size_t v) {
+      out[v] = check(HostPatch(host, facts, static_cast<graph::NodeId>(v)),
+                     [&] { return contexts[v]; });
+    });
+    return out;
+  }
+
+ private:
+  // `context()` returns the context of the centre's machine (null if it has
+  // none); it is asked only once step 1 has passed.
+  template <class Patch, class Context>
+  Verdict check(const Patch& p, const Context& context) const {
+    const graph::NodeId c = p.center();
+    // Step 1: every member of B(c, 2) shares (M, r). The ball is connected
+    // through BFS-tree edges that each touch N[c], so that holds exactly
+    // when every x in N[c] matches all of its neighbours. The same pass
+    // collects the mode gate's input and the centre's glue partners.
+    const NodeFact& center_fact = p.fact(c);
+    if (!center_fact.matched) {
       return Verdict::no;
     }
-    ParsedBall parsed;
-    parsed.labels.reserve(static_cast<std::size_t>(ball.node_count()));
-    for (graph::NodeId v = 0; v < ball.node_count(); ++v) {
-      const local::Label& raw = ball.label(v);
-      const auto d = decode_header(raw);
-      if (!d.has_value() || d->r != center->r ||
-          !same_machine(raw, center_raw)) {
+    const DecodedLabel& center_label = *center_fact.header;
+    bool pyramid_near = center_fact.pyramid_near;
+    std::vector<GluePartner> glue;
+    for (graph::NodeId w : p.neighbors(c)) {
+      const NodeFact& f = p.fact(w);
+      if (!f.matched) {
         return Verdict::no;
       }
-      parsed.labels.push_back(*d);
+      pyramid_near = pyramid_near || f.pyramid_near;
+      if (center_label.is_cell() && f.header->is_cell() &&
+          classify(center_label, *f.header) == Relation::glue) {
+        glue.push_back({w, f.glue_degree});
+      }
     }
-    const MachineCtx* ctx = context(center->machine_encoding);
+    const MachineCtx* ctx = context();
     if (ctx == nullptr || !ctx->valid) {
       return Verdict::no;
     }
-    const auto& center_label =
-        parsed.labels[static_cast<std::size_t>(ball.center)];
     if (center_label.role == kRolePyramid) {
       // Appendix-A mode: pyramid structure is validated by the global
       // oracle; locally only the mode gate applies.
       return pyramidal_ ? Verdict::yes : Verdict::no;
     }
-    if (!pyramidal_) {
-      for (const auto& l : parsed.labels) {
-        if (l.role == kRolePyramid) {
-          return Verdict::no;
-        }
-      }
-    }
-    if (!assign_positions(ball, parsed.labels, ball.center, parsed.geo)) {
+    if (!pyramidal_ && pyramid_near) {
       return Verdict::no;
     }
-    for (graph::NodeId w : ball.g.neighbors(ball.center)) {
-      const auto& lw = parsed.labels[static_cast<std::size_t>(w)];
-      if (center_label.is_cell() && lw.is_cell() &&
-          classify(center_label, lw) == Relation::glue) {
-        parsed.glue_partners_of_center.push_back(w);
-      }
+    Geometry geo;
+    if (!assign_positions(p, c, geo)) {
+      return Verdict::no;
     }
-    const bool no_north = !parsed.geo.at.contains({0, -1});
-    const bool no_west = !parsed.geo.at.contains({-1, 0});
+    const bool no_north = !geo.at.contains({0, -1});
+    const bool no_west = !geo.at.contains({-1, 0});
     if (no_north && no_west && is_pivot_like(*ctx, center_label) &&
-        parsed.glue_partners_of_center.size() >= 2) {
-      return check_pivot(*ctx, ball, parsed);
+        glue.size() >= 2) {
+      return check_pivot(*ctx, p, glue);
     }
-    return check_cell(*ctx, ball, parsed, center_label);
+    return check_cell(*ctx, p, geo, glue, center_label);
   }
 
- private:
-  std::optional<int> code_at(const ParsedBall& parsed, int dx, int dy) const {
-    const auto it = parsed.geo.at.find({dx, dy});
-    if (it == parsed.geo.at.end()) {
+  template <class Patch>
+  static std::optional<int> code_at(const Patch& p, const Geometry& geo,
+                                    int dx, int dy) {
+    const auto it = geo.at.find({dx, dy});
+    if (it == geo.at.end()) {
       return std::nullopt;
     }
-    return parsed.labels[static_cast<std::size_t>(it->second)].code;
+    return p.header(it->second)->code;
   }
 
-  Verdict check_cell(const MachineCtx& ctx, const BallView& ball,
-                     const ParsedBall& parsed,
+  template <class Patch>
+  Verdict check_cell(const MachineCtx& ctx, const Patch& p,
+                     const Geometry& geo, const std::vector<GluePartner>& glue,
                      const DecodedLabel& center) const {
     const tm::LocalRules& rules = *ctx.rules;
     const tm::TuringMachine& m = ctx.machine;
-    const auto& glue = parsed.glue_partners_of_center;
     if (glue.size() > 1) {
       return Verdict::no;  // a border cell is glued to exactly one pivot
     }
@@ -230,18 +383,17 @@ class GmrVerifier final : public local::LocalAlgorithm {
       if (center.role != kRoleFragmentCell) {
         return Verdict::no;  // only fragment borders glue to the pivot
       }
-      const auto& partner = parsed.labels[static_cast<std::size_t>(glue[0])];
-      if (!is_pivot_like(ctx, partner) ||
-          glue_degree(ball, parsed, glue[0]) < 2) {
+      if (!is_pivot_like(ctx, *p.header(glue[0].node)) ||
+          glue[0].glue_degree < 2) {
         return Verdict::no;
       }
     }
     const bool glued = !glue.empty();
-    const auto n = code_at(parsed, 0, -1);
-    const auto nw = code_at(parsed, -1, -1);
-    const auto ne = code_at(parsed, 1, -1);
-    const auto w = code_at(parsed, -1, 0);
-    const auto e = code_at(parsed, 1, 0);
+    const auto n = code_at(p, geo, 0, -1);
+    const auto nw = code_at(p, geo, -1, -1);
+    const auto ne = code_at(p, geo, 1, -1);
+    const auto w = code_at(p, geo, -1, 0);
+    const auto e = code_at(p, geo, 1, 0);
     // Rectangularity: a missing upper corner forces the matching side off.
     if (n.has_value()) {
       if (!nw.has_value() && w.has_value()) return Verdict::no;
@@ -294,7 +446,7 @@ class GmrVerifier final : public local::LocalAlgorithm {
     }
     // No row below: natural bottom / frozen table bottom must be head-free
     // (halting heads allowed) unless the cell is glued.
-    if (!parsed.geo.at.contains({0, 1}) && !glued) {
+    if (!geo.at.contains({0, 1}) && !glued) {
       if (m.cell_has_head(center.code) &&
           !m.is_halting(m.cell_state(center.code))) {
         return Verdict::no;
@@ -303,15 +455,18 @@ class GmrVerifier final : public local::LocalAlgorithm {
     return Verdict::yes;
   }
 
-  Verdict check_pivot(const MachineCtx& ctx, const BallView& ball,
-                      const ParsedBall& parsed) const {
-    const auto& glue = parsed.glue_partners_of_center;
-    const std::set<graph::NodeId> glue_set(glue.begin(), glue.end());
+  template <class Patch>
+  Verdict check_pivot(const MachineCtx& ctx, const Patch& p,
+                      const std::vector<GluePartner>& glue) const {
+    std::set<graph::NodeId> glue_set;
+    for (const GluePartner& partner : glue) {
+      glue_set.insert(partner.node);
+    }
     // Components of glued border cells, connected via grid edges among
     // themselves.
     std::map<graph::NodeId, int> component;
     int comp_count = 0;
-    for (graph::NodeId s : glue) {
+    for (const graph::NodeId s : glue_set) {
       if (component.contains(s)) {
         continue;
       }
@@ -321,13 +476,12 @@ class GmrVerifier final : public local::LocalAlgorithm {
       std::size_t head = 0;
       while (head < queue.size()) {
         const graph::NodeId u = queue[head++];
-        const auto& lu = parsed.labels[static_cast<std::size_t>(u)];
-        for (graph::NodeId x : ball.g.neighbors(u)) {
+        const DecodedLabel& lu = *p.header(u);
+        for (graph::NodeId x : p.neighbors(u)) {
           if (!glue_set.contains(x) || component.contains(x)) {
             continue;
           }
-          const auto& lx = parsed.labels[static_cast<std::size_t>(x)];
-          if (classify(lu, lx) == Relation::glue) {
+          if (classify(lu, *p.header(x)) == Relation::glue) {
             continue;
           }
           component[x] = c;
@@ -335,15 +489,15 @@ class GmrVerifier final : public local::LocalAlgorithm {
         }
       }
     }
+    // Each component's members in ascending node order.
+    std::vector<std::vector<graph::NodeId>> members(
+        static_cast<std::size_t>(comp_count));
+    for (const auto& [v, c] : component) {
+      members[static_cast<std::size_t>(c)].push_back(v);
+    }
     std::set<std::string> seen;
-    for (int c = 0; c < comp_count; ++c) {
-      std::vector<graph::NodeId> members;
-      for (const auto& [v, cc] : component) {
-        if (cc == c) {
-          members.push_back(v);
-        }
-      }
-      const auto key = reconstruct_component(ctx, ball, parsed, members);
+    for (const std::vector<graph::NodeId>& comp : members) {
+      const auto key = reconstruct_component(ctx, p, comp);
       if (!key.has_value()) {
         return Verdict::no;
       }
@@ -354,12 +508,13 @@ class GmrVerifier final : public local::LocalAlgorithm {
   }
 
   // Rebuilds one fragment from its glued border component; returns its key.
+  template <class Patch>
   std::optional<std::string> reconstruct_component(
-      const MachineCtx& ctx, const BallView& ball, const ParsedBall& parsed,
+      const MachineCtx& ctx, const Patch& p,
       const std::vector<graph::NodeId>& members) const {
     // Positions relative to the component's own origin.
     Geometry sub;
-    if (!assign_positions(ball, parsed.labels, members[0], sub)) {
+    if (!assign_positions(p, members[0], sub)) {
       return std::nullopt;
     }
     // Restrict to the component members and normalize.
@@ -376,8 +531,7 @@ class GmrVerifier final : public local::LocalAlgorithm {
     }
     for (graph::NodeId v : members) {
       const auto [x, y] = sub.position.at(v);
-      codes[{x - min_x, y - min_y}] =
-          parsed.labels[static_cast<std::size_t>(v)].code;
+      codes[{x - min_x, y - min_y}] = p.header(v)->code;
     }
     // Shape: full top row, optional full side columns, optional bottom row.
     const int k = k_;
@@ -447,6 +601,12 @@ class GmrVerifier final : public local::LocalAlgorithm {
       return std::nullopt;
     }
     return fragment->key();
+  }
+
+  // The context of the machine named in `center`; null if it names none.
+  const MachineCtx* context_of(const local::Label& center) const {
+    const auto decoded = decode_label(center);
+    return decoded.has_value() ? context(decoded->machine_encoding) : nullptr;
   }
 
   // Pool threads evaluate balls concurrently, so the memo is guarded: the

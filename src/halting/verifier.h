@@ -17,6 +17,19 @@
 //     generated by Lemma 2 from the machine description — the paper's
 //     step 6.
 //
+// Every check reads B(v, 2) in two parts. A radius-1 fact of each node x
+// of N[v] covers step 1, the plain-grid mode gate and the pivot's glue
+// degree: whether x decodes and every neighbour shares its (M, r), whether
+// x or a neighbour has the pyramid role, and x's glue degree. Every member
+// of B(v, 2) is x or a neighbour of some such x. Steps 2-4 walk the
+// centre's grid patch, a
+// constant-size window except at the pivot. evaluate(ball) runs both parts
+// on an extracted radius-2 ball, the semantic definition. evaluate_all(g)
+// runs the same functions on the host: facts once per node, then one check
+// per centre. It extracts no ball, so a hub's degree is paid by its own
+// fact and by the few centres whose grid patch reaches it, not by every
+// ball around it.
+//
 // Known gap (documented in docs/ARCHITECTURE.md): exact global rigidity of the grids
 // is what Appendix A's quadtree pyramids provide; in plain-grid mode a
 // torus-like quotient of a (hypothetical) wrap-consistent execution would

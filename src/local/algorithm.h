@@ -9,10 +9,16 @@
 
 #include <functional>
 #include <memory>
+#include <optional>
 #include <string>
+#include <vector>
 
 #include "local/ball.h"
 #include "support/rng.h"
+
+namespace locald::exec {
+class ThreadPool;
+}  // namespace locald::exec
 
 namespace locald::local {
 
@@ -32,6 +38,15 @@ class LocalAlgorithm {
 
   // `ball` has ids stripped iff id_oblivious().
   virtual Verdict evaluate(const BallView& ball) const = 0;
+
+  // Optional whole-graph path of an Id-oblivious algorithm: element v is
+  // exactly evaluate() of v's stripped radius-horizon() ball, for every
+  // node v of `g`, computed without extracting the balls (on `pool`, which
+  // may be null). The default has none: run_panel then extracts each ball.
+  virtual std::optional<std::vector<Verdict>> evaluate_all(
+      const LabeledGraph& /*g*/, exec::ThreadPool* /*pool*/) const {
+    return std::nullopt;
+  }
 };
 
 // Adapter for lambda-defined algorithms.
@@ -73,17 +88,20 @@ inline std::unique_ptr<LocalAlgorithm> make_id_aware(
 }
 
 // An id-aware algorithm of the shape both of the paper's deciders have: an
-// Id-oblivious gate, then an id-dependent tail (Section 3.2: verify G(M, r),
-// then run M for min(Id(v), cap) steps; Section 2: verify P', then reject
-// ids >= R(r)). The verdict is no wherever the gate, run on the stripped
-// ball, says no, and the tail's verdict elsewhere. The simulator knows the
-// shape: it evaluates the gate through the verdict cache and, when the gate
-// itself is in the same panel, reuses that node's gate verdict and runs
-// only the tail (see run_panel in local/simulator.h).
+// Id-oblivious gate, then an id-dependent tail that reads only the centre's
+// label and identifier (Section 3.2: verify G(M, r), then run M for
+// min(Id(v), cap) steps; Section 2: verify P', then reject ids >= R(r)).
+// The verdict is no wherever the gate, run on the stripped ball, says no,
+// and the tail's verdict elsewhere. The simulator knows the shape: it
+// decides the gate once per node like any Id-oblivious step (in bulk when
+// the gate offers evaluate_all) and runs the tail on the centre alone, so a
+// gated step needs no ball of its own (see run_panel in local/simulator.h).
 class GatedAlgorithm final : public LocalAlgorithm {
  public:
+  using Tail = std::function<Verdict(const Label& center, Id center_id)>;
+
   GatedAlgorithm(std::string name, std::shared_ptr<const LocalAlgorithm> gate,
-                 LambdaAlgorithm::Fn tail)
+                 Tail tail)
       : name_(std::move(name)), gate_(std::move(gate)), tail_(std::move(tail)) {
     LOCALD_CHECK(gate_ != nullptr, "gate must be set");
     LOCALD_CHECK(gate_->id_oblivious(), "a gate must be Id-oblivious");
@@ -95,18 +113,21 @@ class GatedAlgorithm final : public LocalAlgorithm {
   int horizon() const override { return gate_->horizon(); }
   bool id_oblivious() const override { return false; }
   Verdict evaluate(const BallView& ball) const override {
-    return gate_->evaluate(ball.without_ids()) == Verdict::no ? Verdict::no
-                                                              : tail(ball);
+    return gate_->evaluate(ball.without_ids()) == Verdict::no
+               ? Verdict::no
+               : tail(ball.center_label(), ball.center_id());
   }
 
   const LocalAlgorithm& gate() const { return *gate_; }
   // The id-dependent part alone; meaningful only where the gate said yes.
-  Verdict tail(const BallView& ball) const { return tail_(ball); }
+  Verdict tail(const Label& center, Id center_id) const {
+    return tail_(center, center_id);
+  }
 
  private:
   std::string name_;
   std::shared_ptr<const LocalAlgorithm> gate_;
-  LambdaAlgorithm::Fn tail_;
+  Tail tail_;
 };
 
 // Randomized local algorithm (Section 3.3): an unbounded random string per

@@ -17,14 +17,13 @@ constexpr std::uint64_t kProbeIdStreamTag = 0x70726f6265ULL;  // "probe"
 // Ω(ball bytes) per ball while the probability of meeting an isomorphic
 // ball collapses as balls grow (a high-degree hub drags its whole
 // neighbourhood — labels and all — into every nearby ball, and such balls
-// are nearly always unique). Measured on fig2-gmr's default instances
-// (Release, 4-core x86): the radius-2 balls around the pivot hold
-// 1,800-3,500 nodes and take 3.5-8 ms each to encode, while verifying one
-// takes 0.03-0.08 ms (the pivot's own ball, one per instance, 7-13 ms), at
-// a ~0% hit rate — keying would cost ~100x the evaluation it could save.
-// The graph's thousands of small grid-cell balls encode in microseconds
-// and do repeat. The cap is a pure function of the ball, so memoized ==
-// unmemoized still holds at every thread count.
+// are nearly always unique), so keying a hub ball costs far more than the
+// evaluation it could save. Small balls encode in microseconds and do
+// repeat. The G(M, r) verifier, whose pivot balls motivated the cap,
+// decides in bulk and never reaches this path; an Id-oblivious algorithm
+// without a bulk path over a host with hubs still does. The cap is a pure
+// function of the ball, so memoized == unmemoized still holds at every
+// thread count.
 constexpr graph::NodeId kMemoBallCap = 256;
 
 // Evaluate through the memoization cache when one is wired up. The cache key
@@ -55,6 +54,7 @@ struct PanelStep {
   const GatedAlgorithm* gated = nullptr;
   std::size_t gate_step = 0;
   std::string cache_name;  // memo key prefix of an Id-oblivious step
+  bool bulk = false;       // decided for every node by evaluate_all
 };
 
 }  // namespace
@@ -110,27 +110,52 @@ std::vector<RunResult> run_panel(const std::vector<const LocalAlgorithm*>& algs,
   }
 
   const std::size_t n = static_cast<std::size_t>(g.node_count());
-  std::vector<std::vector<Verdict>> verdicts(steps.size(),
-                                             std::vector<Verdict>(n));
+  std::vector<std::vector<Verdict>> verdicts(steps.size());
   const IdAssignment* visible_ids = any_id_aware ? ids : nullptr;
   // One stage span for the whole node loop: extraction + canonical-encoding
   // memo keys + evaluation. Per-ball spans would swamp the trace at 10^6
-  // nodes, so the inner pipeline is visible via the census/workload spans.
+  // nodes, so the inner pipeline is visible via the census/workload spans
+  // and the bulk paths' own spans.
   obs::Span span("local-run", names);
-  exec::parallel_for(options.exec.pool, n, [&](std::size_t i) {
+  // Id-oblivious steps with a whole-graph path are decided first, at their
+  // own horizon, with no extraction and no cache keying. A gated step's
+  // tail reads only the centre, so only the remaining steps need balls.
+  bool needs_ball = false;
+  for (std::size_t s = 0; s < steps.size(); ++s) {
+    PanelStep& step = steps[s];
+    if (step.gated == nullptr && step.alg->id_oblivious() &&
+        radius == step.alg->horizon()) {
+      if (auto all = step.alg->evaluate_all(g, options.exec.pool)) {
+        LOCALD_CHECK(all->size() == n, "evaluate_all: one verdict per node");
+        verdicts[s] = std::move(*all);
+        step.bulk = true;
+        continue;
+      }
+    }
+    verdicts[s].resize(n);
+    needs_ball = needs_ball || step.gated == nullptr;
+  }
+  const bool per_node = std::any_of(
+      steps.begin(), steps.end(), [](const PanelStep& s) { return !s.bulk; });
+  exec::parallel_for(options.exec.pool, per_node ? n : 0, [&](std::size_t i) {
+    const auto v = static_cast<graph::NodeId>(i);
     // One extraction arena per worker thread, reused across all nodes that
     // thread processes. Nested parallel_for runs inline on the calling
     // worker, so no second extraction can interleave with a live view.
     static thread_local BallScratch scratch;
-    const BallView ball =
-        scratch.extract(g, visible_ids, static_cast<graph::NodeId>(i), radius);
+    const BallView ball = needs_ball
+                              ? scratch.extract(g, visible_ids, v, radius)
+                              : BallView{};
     for (std::size_t s = 0; s < steps.size(); ++s) {
       const PanelStep& step = steps[s];
+      if (step.bulk) {
+        continue;
+      }
       Verdict out;
       if (step.gated != nullptr) {
         out = verdicts[step.gate_step][i] == Verdict::no
                   ? Verdict::no
-                  : step.gated->tail(ball);
+                  : step.gated->tail(g.label(v), ids->of(v));
       } else if (step.alg->id_oblivious()) {
         out = decide_ball(*step.alg, step.cache_name, ball.without_ids(),
                           cache);

@@ -45,16 +45,23 @@ struct RunResult {
 };
 
 // The direct-evaluation node loop: evaluates every algorithm of `algs` on
-// every node, extracting each node's ball once (carrying identifiers iff
-// some algorithm is id-aware; `ids` may be null only if none is). The
-// algorithms share one horizon, and `options.radius` overrides it for all.
-//  - Id-oblivious algorithms see the stripped ball, through the verdict
-//    cache when one is wired up.
-//  - A GatedAlgorithm's gate is evaluated the same way, once per node, even
+// every node, extracting each node's ball at most once (carrying
+// identifiers iff some algorithm is id-aware; `ids` may be null only if
+// none is). The algorithms share one horizon, and `options.radius`
+// overrides it for all.
+//  - An Id-oblivious algorithm with a bulk path (LocalAlgorithm::
+//    evaluate_all) run at its own horizon decides every node at once,
+//    with no extraction and no cache lookup.
+//  - Other Id-oblivious algorithms see the stripped ball, through the
+//    verdict cache when one is wired up.
+//  - A GatedAlgorithm's gate is decided the same way, once per node, even
 //    when the gate itself or other algorithms gated on it are in the panel;
-//    its id-dependent tail runs only where the gate said yes.
+//    its id-dependent tail runs on the centre's label and id only, and
+//    only where the gate said yes.
 //  - Other id-aware algorithms see the full ball, uncached: a ball keyed
 //    with its identifiers almost never recurs.
+// A node's ball is extracted only if some step of the third or fourth
+// kind needs it.
 // results[a] is exactly what a one-algorithm panel of algs[a] returns.
 std::vector<RunResult> run_panel(const std::vector<const LocalAlgorithm*>& algs,
                                  const LabeledGraph& g, const IdAssignment* ids,

@@ -119,8 +119,11 @@ void Registry::add(const std::string& name, const std::string& help,
   LOCALD_ASSERT(valid_metric_name(name),
                 "metric name must match [a-zA-Z_:][a-zA-Z0-9_:]*");
   std::lock_guard<std::mutex> lk(mu_);
+  // A family whose owner has expired is gone even before a scrape prunes
+  // it, so only a live one can conflict.
   const auto it = families_.find(name);
-  LOCALD_ASSERT(it == families_.end() || it->second.type == type,
+  LOCALD_ASSERT(it == families_.end() || it->second.owner.expired() ||
+                    it->second.type == type,
                 "metric re-registered with a different type: " + name);
   families_[name] = Family{help, type, owner, std::move(samples)};
 }

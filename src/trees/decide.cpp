@@ -238,11 +238,10 @@ std::unique_ptr<local::LocalAlgorithm> make_P_decider(const TreeParams& p) {
   const Coord R = p.capital_R();
   return std::make_unique<local::GatedAlgorithm>(
       cat("decide-P(r=", p.r, ",f=", p.f.name(), ")"),
-      make_P_prime_verifier(p), [R](const BallView& ball) {
+      make_P_prime_verifier(p), [R](const local::Label&, local::Id id) {
         // Identifier leak: an id of at least R(r) proves n > 2^{r+1}, i.e.
         // the instance cannot be a patch.
-        return ball.center_id() >= static_cast<local::Id>(R) ? Verdict::no
-                                                             : Verdict::yes;
+        return id >= static_cast<local::Id>(R) ? Verdict::no : Verdict::yes;
       });
 }
 

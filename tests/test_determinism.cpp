@@ -265,10 +265,10 @@ TEST(Determinism, FamilyWorkloadCellsByteIdenticalNowThatTheFallbackIsGone) {
 }
 
 TEST(CacheCorrectness, MemoizedAndUnmemoizedAgreeOnTheGmrVerifierPath) {
-  // The fig2-gmr scenario routes its verifier through the shared cache
-  // again (PR 3 had it bypass the cache because canonicalization was ~5x
-  // the evaluation cost); memoized == unmemoized is the contract that
-  // makes that re-enablement safe, asserted on a real G(M, r) instance.
+  // The G(M, r) verifier decides a whole host at once from radius-1 node
+  // facts (its evaluate_all), so a run with the shared cache wired up
+  // returns the uncached verdicts and never keys a ball: the cache sees
+  // no lookup at all.
   tm::FragmentPolicy policy;
   policy.max_fragments = 60;
   policy.seed = 7;
@@ -286,7 +286,7 @@ TEST(CacheCorrectness, MemoizedAndUnmemoizedAgreeOnTheGmrVerifierPath) {
     EXPECT_EQ(memoized.outputs, unmemoized.outputs) << threads << " threads";
     EXPECT_EQ(memoized.accepted, unmemoized.accepted);
     const auto stats = cache.stats();
-    EXPECT_GT(stats.hits + stats.misses, 0u);
+    EXPECT_EQ(stats.hits + stats.misses, 0u);
   }
 }
 

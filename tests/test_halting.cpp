@@ -524,11 +524,14 @@ TEST(Panel, GateRunsOncePerNodeAndTailOnlyWhereItSaidYes) {
         const exec::ExecContext ctx{&pool, cached ? &cache : nullptr};
         const auto gate = std::make_shared<CountingAlgorithm>(panel_verifier());
         std::vector<std::atomic<int>> tail_calls(n);
-        const auto tail = [&](const local::BallView& ball) {
-          EXPECT_TRUE(ball.has_ids());
-          tail_calls[static_cast<std::size_t>(ball.host_of(ball.center))]
-              .fetch_add(1, std::memory_order_relaxed);
-          return ball.center_id() % 2 == 0 ? Verdict::yes : Verdict::no;
+        // Consecutive ids: the centre's id names its node.
+        const auto tail = [&](const local::Label& center, local::Id id) {
+          const auto v = static_cast<graph::NodeId>(id);
+          EXPECT_EQ(ids.of(v), id);
+          EXPECT_EQ(center, g.label(v));
+          tail_calls[static_cast<std::size_t>(v)].fetch_add(
+              1, std::memory_order_relaxed);
+          return id % 2 == 0 ? Verdict::yes : Verdict::no;
         };
         const local::GatedAlgorithm gated("gated", gate, tail);
         const local::GatedAlgorithm also_gated("also-gated", gate, tail);

@@ -180,6 +180,25 @@ TEST(Metrics, ReRegisteringWithAnotherTypeThrows) {
             std::string::npos);
 }
 
+TEST(Metrics, ExpiredFamilyDoesNotBlockAnotherType) {
+  {
+    auto c = obs::registry().counter("test_obs_retyped", "dropped counter");
+    c->add(1);
+  }
+  // No scrape in between, so the counter's family is expired but not yet
+  // pruned: it must not count as a conflict.
+  std::shared_ptr<obs::Gauge> g;
+  ASSERT_NO_THROW(g = obs::registry().gauge("test_obs_retyped", "a gauge"));
+  g->add(2);
+  const std::string text = obs::registry().render_prometheus();
+  EXPECT_NE(text.find("# TYPE test_obs_retyped gauge\n"
+                      "test_obs_retyped 2\n"),
+            std::string::npos);
+  // The live gauge still rejects a conflicting registration.
+  EXPECT_THROW(obs::registry().counter("test_obs_retyped", "a counter"),
+               BugError);
+}
+
 // The exact exposition bytes of one instrument of each kind, a replaced and
 // a dropped registration, and an escaped HELP text. Only lines of this
 // test's families are compared, so other tests' metrics do not interfere.

@@ -618,6 +618,40 @@ TEST(VerdictStore, CorruptRecordStopsAFollowerButIsQuarantinedOnReopen) {
   EXPECT_TRUE(*reopened.lookup(fp("ball-d"), "alg", "ball-d"));
 }
 
+TEST(VerdictStore, FollowerStoppedAtABadChecksumRefreshesOnlyOnGrowth) {
+  TempDir dir;
+  {
+    VerdictStore writer(dir.path, 1);
+    writer.append(fp("ball-a"), "alg", "ball-a", true);
+    writer.append(fp("ball-b"), "alg", "ball-b", false);
+  }
+  // Corrupt ball-b's checksum: the follower's walk stops in front of it
+  // and cannot tell corruption from a write in flight.
+  constexpr std::size_t kRecordBytes = kRecordHeaderBytes + 3 + 6;
+  flip_byte(only_shard(dir.path),
+            static_cast<off_t>(kFileHeaderBytes + kRecordBytes));
+  VerdictStore follower(dir.path, 1, VerdictStore::Role::follower);
+  EXPECT_TRUE(*follower.lookup(fp("ball-a"), "alg", "ball-a"));
+  // The file does not change, so 100 misses walk it at most once.
+  for (int i = 0; i < 100; ++i) {
+    const std::string key = "miss-" + std::to_string(i);
+    EXPECT_FALSE(follower.lookup(fp(key), "alg", key).has_value());
+  }
+  const std::uint64_t refreshes = follower.stats().tail_refreshes;
+  EXPECT_LE(refreshes, 1u);
+  // A later append grows the file: exactly one more refresh, after which
+  // further misses walk nothing again.
+  {
+    VerdictStore writer(dir.path, 1);
+    writer.append(fp("ball-c"), "alg", "ball-c", true);
+  }
+  for (int i = 0; i < 100; ++i) {
+    const std::string key = "later-miss-" + std::to_string(i);
+    EXPECT_FALSE(follower.lookup(fp(key), "alg", key).has_value());
+  }
+  EXPECT_EQ(follower.stats().tail_refreshes, refreshes + 1);
+}
+
 TEST(VerdictStore, FollowerBackedCacheSkipsWriteThrough) {
   TempDir dir;
   VerdictStore writer(dir.path, 1);
