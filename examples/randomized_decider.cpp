@@ -22,12 +22,12 @@ int main() {
   const auto no_inst = halting::build_gmr(no).graph;
 
   const int trials = 30;
-  const auto p_yes = local::estimate_acceptance(*decider, yes_inst, nullptr,
-                                                trials, {{}, 99});
-  const auto p_no = local::estimate_acceptance(*decider, no_inst, nullptr,
-                                               trials, {{}, 100});
+  const auto p_yes =
+      local::estimate_acceptance(decider, yes_inst, trials, {{}, 99});
+  const auto p_no =
+      local::estimate_acceptance(decider, no_inst, trials, {{}, 100});
 
-  std::cout << "randomized Id-oblivious decider: " << decider->name() << "\n";
+  std::cout << "randomized Id-oblivious decider: " << decider.name() << "\n";
   std::cout << "yes-instance G(" << yes.machine.name() << "): accepted "
             << p_yes.accepted << "/" << p_yes.trials
             << " (completeness p = 1)\n";

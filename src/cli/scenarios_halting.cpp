@@ -6,6 +6,7 @@
 #include "cli/scenarios.h"
 #include "graph/pyramid.h"
 #include "obs/stopwatch.h"
+#include "obs/trace.h"
 #include "halting/analysis.h"
 #include "halting/gmr.h"
 #include "halting/promise_halting.h"
@@ -167,17 +168,21 @@ bool run_cor1(const ScenarioOptions& opts, std::ostream& out) {
   const auto decider =
       halting::make_randomized_gmr_decider(3, policy, false, 4096);
   const int trials = opts.trials == 0 ? 40 : opts.trials;
+  const auto build = [](const halting::GmrParams& params) {
+    obs::Span span("build-gmr", params.machine.name());
+    return halting::build_gmr(params).graph;
+  };
   bool ok = true;
 
   TextTable table({"instance", "n", "truth", "accepted/trials",
                    "paper failure bound"});
   {
     halting::GmrParams params{tm::halt_after(2, 0), 1, 3, policy, false, 4096};
-    const auto inst = halting::build_gmr(params).graph;
+    const auto inst = build(params);
     // Instance 0 of the sweep cell: coins come from counter streams under
     // (seed, instance), so trials parallelize without changing the counts.
-    const auto est = local::estimate_acceptance(
-        *decider, inst, nullptr, trials, {opts.exec, opts.seed});
+    const auto est = local::estimate_acceptance(decider, inst, trials,
+                                                {opts.exec, opts.seed});
     ok = ok && est.accepted == est.trials;  // perfect completeness
     table.add_row({cat("G(", params.machine.name(), ")"),
                    cat(inst.node_count()), "member",
@@ -186,9 +191,9 @@ bool run_cor1(const ScenarioOptions& opts, std::ostream& out) {
   for (int rounds : {1, 2, 3}) {
     halting::GmrParams params{tm::zigzag_halt(rounds, 1), 1, 3, policy, false,
                               4096};
-    const auto inst = halting::build_gmr(params).graph;
+    const auto inst = build(params);
     const auto est = local::estimate_acceptance(
-        *decider, inst, nullptr, trials,
+        decider, inst, trials,
         {opts.exec, opts.seed + static_cast<std::uint64_t>(rounds)});
     const double bound = halting::corollary1_failure_bound(
         static_cast<double>(inst.node_count()));
@@ -292,7 +297,8 @@ bool run_ablation(const ScenarioOptions& opts, std::ostream& out) {
         halting::candidate_bounded_simulation(3, policy, false, 4096, b);
     const tm::TuringMachine fool = tm::halt_after(static_cast<int>(b) + 1, 1);
     halting::GmrParams params{fool, 1, 3, policy, false, 4096};
-    const bool accepts = halting::separation_accepts(*candidate, params);
+    const bool accepts =
+        halting::separation_accepts(*candidate, params, {opts.exec});
     ok = ok && accepts;  // every budget must be fooled
     diag.add_row({cat(b), fool.name(), accepts ? "yes" : "no",
                   accepts ? "yes (fooled)" : "no"});

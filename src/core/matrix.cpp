@@ -100,7 +100,7 @@ QuadrantResult computable_quadrant(Rng& rng, const exec::ExecContext& ctx) {
   machines.push_back(tm::halt_after(1, 1));
   machines.push_back(tm::halt_after(4, 1));
   const auto rows = halting::run_separation_experiment(
-      candidates, machines, 1, 3, policy, false, 4096);
+      candidates, machines, 1, 3, policy, false, 4096, {ctx});
   int fooled = 0;
   for (const auto& row : rows) {
     fooled += row.misclassified;

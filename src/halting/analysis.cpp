@@ -137,7 +137,8 @@ GeneratedBalls neighborhood_generator(const GmrParams& params, int radius) {
 }
 
 bool separation_accepts(const local::LocalAlgorithm& oblivious_candidate,
-                        const GmrParams& params) {
+                        const GmrParams& params,
+                        const local::RunOptions& options) {
   LOCALD_CHECK(oblivious_candidate.id_oblivious(),
                "the separation algorithm runs Id-oblivious candidates");
   obs::Span span("separation-run", params.machine.name());
@@ -145,8 +146,8 @@ bool separation_accepts(const local::LocalAlgorithm& oblivious_candidate,
       neighborhood_generator(params, oblivious_candidate.horizon());
   // One run over the whole host (in bulk when the candidate offers it);
   // only the eligible centres' verdicts count.
-  const local::RunResult run = local::run_oblivious(oblivious_candidate,
-                                                    gen.host);
+  const local::RunResult run =
+      local::run_oblivious(oblivious_candidate, gen.host, options);
   return std::all_of(gen.centers.begin(), gen.centers.end(),
                      [&](graph::NodeId v) {
                        return run.outputs[static_cast<std::size_t>(v)] ==
@@ -173,7 +174,8 @@ std::vector<SeparationRow> run_separation_experiment(
                                 std::unique_ptr<local::LocalAlgorithm>>>&
         candidates,
     const std::vector<tm::TuringMachine>& machines, int r, int fragment_size,
-    tm::FragmentPolicy policy, bool pyramidal, long long step_budget) {
+    tm::FragmentPolicy policy, bool pyramidal, long long step_budget,
+    const local::RunOptions& options) {
   obs::Span span("separation-experiment");
   std::vector<SeparationRow> rows;
   for (const auto& [name, candidate] : candidates) {
@@ -186,7 +188,7 @@ std::vector<SeparationRow> run_separation_experiment(
       const tm::RunOutcome truth = tm::run_machine(machine, step_budget);
       row.halts = truth.halted;
       row.output = truth.output;
-      row.r_accepts = separation_accepts(*candidate, params);
+      row.r_accepts = separation_accepts(*candidate, params, options);
       // A separator must accept L0 members and reject L1 members; machines
       // that do not halt (within the budget) carry no requirement.
       row.misclassified =
@@ -197,53 +199,18 @@ std::vector<SeparationRow> run_separation_experiment(
   return rows;
 }
 
-namespace {
-
-class RandomizedGmrDecider final : public local::RandomizedLocalAlgorithm {
- public:
-  RandomizedGmrDecider(int fragment_size, tm::FragmentPolicy policy,
-                       bool pyramidal, long long step_budget,
-                       long long sim_cap)
-      : verifier_(make_gmr_verifier(fragment_size, policy, pyramidal,
-                                    step_budget)),
-        sim_cap_(sim_cap) {}
-
-  std::string name() const override { return "randomized-oblivious-gmr"; }
-  int horizon() const override { return 2; }
-  bool id_oblivious() const override { return true; }
-
-  Verdict evaluate(const BallView& ball, Rng& coin) const override {
-    if (verifier_->evaluate(ball) == Verdict::no) {
-      return Verdict::no;
-    }
-    // n_v = 4^{tosses until first head} (Section 3.3), capped to keep the
-    // simulation finite in practice.
-    const int tosses = std::min(coin.coin_tosses_until_head(), 30);
-    long long budget = 1;
-    for (int i = 0; i < tosses; ++i) {
-      budget *= 4;
-      if (budget >= sim_cap_) {
-        budget = sim_cap_;
-        break;
-      }
-    }
-    return simulate_center(ball.center_label(), budget);
-  }
-
- private:
-  std::unique_ptr<local::LocalAlgorithm> verifier_;
-  long long sim_cap_;
-};
-
-}  // namespace
-
-std::unique_ptr<local::RandomizedLocalAlgorithm>
-make_randomized_gmr_decider(int fragment_size, tm::FragmentPolicy policy,
-                            bool pyramidal, long long step_budget,
-                            long long sim_cap) {
-  return std::make_unique<RandomizedGmrDecider>(fragment_size, policy,
-                                                pyramidal, step_budget,
-                                                sim_cap);
+local::RandomizedGatedAlgorithm make_randomized_gmr_decider(
+    int fragment_size, tm::FragmentPolicy policy, bool pyramidal,
+    long long step_budget, long long sim_cap) {
+  return local::RandomizedGatedAlgorithm(
+      "randomized-oblivious-gmr",
+      make_gmr_verifier(fragment_size, policy, pyramidal, step_budget),
+      [sim_cap](const local::Label& center, Rng& coin) {
+        // n_v = 4^{tosses until first head} (Section 3.3), capped to keep
+        // the simulation finite in practice.
+        const int tosses = std::min(coin.coin_tosses_until_head(), 30);
+        return simulate_center(center, std::min(sim_cap, 1LL << (2 * tosses)));
+      });
 }
 
 double corollary1_failure_bound(double n) {

@@ -53,7 +53,8 @@ GeneratedBalls neighborhood_generator(const GmrParams& params, int radius);
 // of L0/L1, contradicting Lemma 1 — so every computable candidate must
 // misclassify some machine.
 bool separation_accepts(const local::LocalAlgorithm& oblivious_candidate,
-                        const GmrParams& params);
+                        const GmrParams& params,
+                        const local::RunOptions& options = {});
 
 // ---- candidate suite ---------------------------------------------------------
 
@@ -89,17 +90,19 @@ std::vector<SeparationRow> run_separation_experiment(
                                 std::unique_ptr<local::LocalAlgorithm>>>&
         candidates,
     const std::vector<tm::TuringMachine>& machines, int r, int fragment_size,
-    tm::FragmentPolicy policy, bool pyramidal, long long step_budget);
+    tm::FragmentPolicy policy, bool pyramidal, long long step_budget,
+    const local::RunOptions& options = {});
 
 // ---- Corollary 1: randomness replaces identifiers ---------------------------
 
-// Id-oblivious randomized decider: each node draws n_v = 4^{tosses until
-// heads} and simulates the decoded machine for n_v steps (capped). A
-// (1, 1 - o(1))-decider for P.
-std::unique_ptr<local::RandomizedLocalAlgorithm>
-make_randomized_gmr_decider(int fragment_size, tm::FragmentPolicy policy,
-                            bool pyramidal, long long step_budget,
-                            long long sim_cap = 1'000'000);
+// Id-oblivious randomized decider: the G(M, r) verifier as the gate, then
+// a tail in which each node draws n_v = 4^{tosses until heads} and
+// simulates the decoded machine for n_v steps (capped). The Section-3.2
+// decider with Id(v) replaced by the coin draw; a (1, 1 - o(1))-decider
+// for P.
+local::RandomizedGatedAlgorithm make_randomized_gmr_decider(
+    int fragment_size, tm::FragmentPolicy policy, bool pyramidal,
+    long long step_budget, long long sim_cap = 1'000'000);
 
 // The paper's analytic failure bound: (1 - 1/sqrt(n))^n.
 double corollary1_failure_bound(double n);

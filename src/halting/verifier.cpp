@@ -184,6 +184,10 @@ struct MachineCtx {
   explicit MachineCtx(tm::TuringMachine m) : machine(std::move(m)) {}
 };
 
+bool is_cell_code(const tm::TuringMachine& m, int code) {
+  return code >= 0 && code < m.cell_code_count();
+}
+
 bool is_pivot_like(const MachineCtx& ctx, const DecodedLabel& l) {
   return l.role == kRoleTableCell && l.code == ctx.start_code &&
          l.xm3 == 0 && l.ym3 == 0;
@@ -394,6 +398,14 @@ class GmrVerifier final : public local::LocalAlgorithm {
     const auto ne = code_at(p, geo, 1, -1);
     const auto w = code_at(p, geo, -1, 0);
     const auto e = code_at(p, geo, 1, 0);
+    // The window rules read only codes of M's cells; any other code is
+    // garbage, never part of a member.
+    for (const std::optional<int>& code :
+         {std::optional<int>(center.code), n, nw, ne, w, e}) {
+      if (code.has_value() && !is_cell_code(m, *code)) {
+        return Verdict::no;
+      }
+    }
     // Rectangularity: a missing upper corner forces the matching side off.
     if (n.has_value()) {
       if (!nw.has_value() && w.has_value()) return Verdict::no;
@@ -531,7 +543,11 @@ class GmrVerifier final : public local::LocalAlgorithm {
     }
     for (graph::NodeId v : members) {
       const auto [x, y] = sub.position.at(v);
-      codes[{x - min_x, y - min_y}] = p.header(v)->code;
+      const int code = p.header(v)->code;
+      if (!is_cell_code(ctx.machine, code)) {
+        return std::nullopt;
+      }
+      codes[{x - min_x, y - min_y}] = code;
     }
     // Shape: full top row, optional full side columns, optional bottom row.
     const int k = k_;

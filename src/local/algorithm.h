@@ -130,17 +130,37 @@ class GatedAlgorithm final : public LocalAlgorithm {
   Tail tail_;
 };
 
-// Randomized local algorithm (Section 3.3): an unbounded random string per
-// node, modelled as a per-node RNG stream.
-class RandomizedLocalAlgorithm {
+// A randomized Id-oblivious algorithm of the same shape (Section 3.3: the
+// Section-3.2 decider with Id(v) replaced by a coin draw): an Id-oblivious
+// gate, then a tail that reads only the centre's label and the node's
+// coins, an unbounded random string modelled as a per-node RNG stream. The
+// verdict is no wherever the gate says no, and the tail's verdict
+// elsewhere. The gate reads no coins, so estimate_acceptance decides it
+// once for all trials (see local/simulator.h).
+class RandomizedGatedAlgorithm final {
  public:
-  virtual ~RandomizedLocalAlgorithm() = default;
+  using Tail = std::function<Verdict(const Label& center, Rng& coin)>;
 
-  virtual std::string name() const = 0;
-  virtual int horizon() const = 0;
-  virtual bool id_oblivious() const = 0;
+  RandomizedGatedAlgorithm(std::string name,
+                           std::shared_ptr<const LocalAlgorithm> gate,
+                           Tail tail)
+      : name_(std::move(name)), gate_(std::move(gate)), tail_(std::move(tail)) {
+    LOCALD_CHECK(gate_ != nullptr, "gate must be set");
+    LOCALD_CHECK(gate_->id_oblivious(), "a gate must be Id-oblivious");
+    LOCALD_CHECK(static_cast<bool>(tail_), "tail function must be set");
+  }
 
-  virtual Verdict evaluate(const BallView& ball, Rng& coin) const = 0;
+  const std::string& name() const { return name_; }
+  const LocalAlgorithm& gate() const { return *gate_; }
+  // The coin-dependent part alone; meaningful only where the gate said yes.
+  Verdict tail(const Label& center, Rng& coin) const {
+    return tail_(center, coin);
+  }
+
+ private:
+  std::string name_;
+  std::shared_ptr<const LocalAlgorithm> gate_;
+  Tail tail_;
 };
 
 }  // namespace locald::local

@@ -18,8 +18,8 @@
 //  - `Ball` owns its storage (a `CsrGraph` plus label/id vectors); it is
 //    what `BallView::materialize` and `extract_ball` return when the
 //    caller needs the ball to outlive the extraction (audits that hold two
-//    balls at once, the gather protocol's ball reconstruction,
-//    pre-extracted sampling loops). It converts implicitly to `BallView`.
+//    balls at once, the gather protocol's ball reconstruction). It
+//    converts implicitly to `BallView`.
 //
 // `canonical_encoding` is a complete isomorphism invariant of the ball
 // (centre distinguished, labels exact, ids exact when present): two balls

@@ -231,54 +231,30 @@ IdDependenceProbe probe_id_dependence(const LocalAlgorithm& alg,
   return probe;
 }
 
-AcceptanceEstimate estimate_acceptance(const RandomizedLocalAlgorithm& alg,
-                                       const LabeledGraph& g,
-                                       const IdAssignment* ids, int trials,
+AcceptanceEstimate estimate_acceptance(const RandomizedGatedAlgorithm& alg,
+                                       const LabeledGraph& g, int trials,
                                        const RunOptions& options) {
   LOCALD_CHECK(trials > 0, "need at least one trial");
-  if (!alg.id_oblivious()) {
-    LOCALD_CHECK(ids != nullptr,
-                 "id-aware randomized algorithm needs identifiers");
+  AcceptanceEstimate est;
+  est.trials = trials;
+  // A node whose gate says no rejects every trial. Skipping the tails' coin
+  // draws changes no other cell: each (trial, node) has its own stream.
+  if (!run_oblivious(alg.gate(), g, options).accepted) {
+    return est;
   }
-  if (ids != nullptr) {
-    LOCALD_CHECK(ids->node_count() == g.node_count(),
-                 "identifier assignment size mismatch");
-  }
-  // Balls are fixed across trials (only the coins change): extract each one
-  // once — owning, because the balls outlive the extraction. A scratch is
-  // sized to the host, so each contiguous block of centres owns one, scoped
-  // to this loop.
-  const IdAssignment* visible_ids = alg.id_oblivious() ? nullptr : ids;
+  obs::Span span("acceptance-trials", alg.name());
   const std::size_t n = static_cast<std::size_t>(g.node_count());
-  std::vector<Ball> balls(n);
-  const std::size_t blocks =
-      std::min(n, static_cast<std::size_t>(options.exec.parallelism()));
-  exec::parallel_for(options.exec.pool, blocks, [&](std::size_t b) {
-    BallScratch scratch;
-    for (std::size_t i = b * n / blocks; i < (b + 1) * n / blocks; ++i) {
-      balls[i] = scratch
-                     .extract(g, visible_ids, static_cast<graph::NodeId>(i),
-                              alg.horizon())
-                     .materialize();
-    }
-  });
   std::atomic<int> accepted{0};
   const auto trial_count = static_cast<std::size_t>(trials);
   exec::parallel_for(options.exec.pool, trial_count, [&](std::size_t t) {
-    bool all_yes = true;
     for (std::size_t v = 0; v < n; ++v) {
       Rng coin = Rng::stream(options.seed, t, v);
-      if (alg.evaluate(balls[v], coin) == Verdict::no) {
-        all_yes = false;
-        break;
+      if (alg.tail(g.labels()[v], coin) == Verdict::no) {
+        return;
       }
     }
-    if (all_yes) {
-      accepted.fetch_add(1, std::memory_order_relaxed);
-    }
+    accepted.fetch_add(1, std::memory_order_relaxed);
   });
-  AcceptanceEstimate est;
-  est.trials = trials;
   est.accepted = accepted.load();
   return est;
 }

@@ -106,13 +106,14 @@ struct AcceptanceEstimate {
   }
 };
 
-// Node v's coins in trial t come from the counter-based stream
-// (options.seed, t, v), so every (node, trial) cell is the same generator
-// no matter which thread runs it; balls are extracted once and reused
-// across all trials.
-AcceptanceEstimate estimate_acceptance(const RandomizedLocalAlgorithm& alg,
-                                       const LabeledGraph& g,
-                                       const IdAssignment* ids, int trials,
+// The gate reads no coins, so it is decided once, by run_oblivious (in bulk
+// when the gate offers evaluate_all): if it says no at any node, every trial
+// rejects. Otherwise trial t accepts iff every node's tail says yes, node
+// v's coins in trial t coming from the counter-based stream
+// (options.seed, t, v), so every (trial, node) cell is the same generator
+// no matter which thread runs it. No ball is extracted for the tails.
+AcceptanceEstimate estimate_acceptance(const RandomizedGatedAlgorithm& alg,
+                                       const LabeledGraph& g, int trials,
                                        const RunOptions& options = {});
 
 }  // namespace locald::local

@@ -5,19 +5,24 @@
 // path and on the Id-oblivious simulation A*, whose verdicts are invariant
 // under ball-node renumbering), the bulk canonicalization census
 // (byte-identical encodings at 1/2/8 threads on the families whose cells
-// used to take the degree-profile fallback), and the zero-trial
-// acceptance-estimate guard.
+// used to take the degree-profile fallback), estimate_acceptance against
+// its definition (gate on a freshly extracted ball, then the tail, per
+// trial and node), and the zero-trial acceptance-estimate guard.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
+#include <optional>
 #include <sstream>
 
 #include "cli/bench.h"
 #include "exec/context.h"
 #include "graph/generators.h"
 #include "graph/isomorphism.h"
+#include "halting/analysis.h"
 #include "halting/gmr.h"
 #include "halting/verifier.h"
+#include "local/fault_profile.h"
 #include "local/simulator.h"
 #include "oblivious/simulation.h"
 #include "support/rng.h"
@@ -65,29 +70,30 @@ TEST(RngStream, DistinctCoordinatesDiverge) {
             0u);
 }
 
-// A randomized decider that actually consumes coins: accept unless the
-// node's geometric draw exceeds a label-dependent threshold.
-class CoinHungry final : public RandomizedLocalAlgorithm {
- public:
-  std::string name() const override { return "coin-hungry"; }
-  int horizon() const override { return 1; }
-  bool id_oblivious() const override { return true; }
-  Verdict evaluate(const BallView& ball, Rng& coin) const override {
-    const int tosses = coin.coin_tosses_until_head();
-    const auto threshold = 3 + ball.center_label().at(0);
-    return tosses <= threshold ? Verdict::yes : Verdict::no;
-  }
-};
+// A randomized decider that actually consumes coins: an always-yes gate,
+// then accept unless the node's geometric draw exceeds a label-dependent
+// threshold.
+RandomizedGatedAlgorithm coin_hungry() {
+  return RandomizedGatedAlgorithm(
+      "coin-hungry",
+      make_oblivious("always-yes", 1,
+                     [](const BallView&) { return Verdict::yes; }),
+      [](const Label& center, Rng& coin) {
+        const int tosses = coin.coin_tosses_until_head();
+        const auto threshold = 3 + center.at(0);
+        return tosses <= threshold ? Verdict::yes : Verdict::no;
+      });
+}
 
 TEST(Determinism, EstimateAcceptanceIdenticalAt1And2And8Threads) {
   const LabeledGraph g = two_colored_cycle(12);
-  const CoinHungry alg;
+  const RandomizedGatedAlgorithm alg = coin_hungry();
   constexpr int kTrials = 300;
   constexpr std::uint64_t kSeed = 99;
 
   exec::ExecContext serial;
   const auto reference =
-      estimate_acceptance(alg, g, nullptr, kTrials, {serial, kSeed});
+      estimate_acceptance(alg, g, kTrials, {serial, kSeed});
   EXPECT_EQ(reference.trials, kTrials);
   // The estimate must be non-trivial for the comparison to mean anything.
   EXPECT_GT(reference.accepted, 0);
@@ -96,7 +102,7 @@ TEST(Determinism, EstimateAcceptanceIdenticalAt1And2And8Threads) {
   for (int threads : {1, 2, 8}) {
     exec::ThreadPool pool(threads);
     exec::ExecContext ctx{&pool, nullptr};
-    const auto run = estimate_acceptance(alg, g, nullptr, kTrials, {ctx, kSeed});
+    const auto run = estimate_acceptance(alg, g, kTrials, {ctx, kSeed});
     EXPECT_EQ(run.accepted, reference.accepted) << threads << " threads";
     EXPECT_EQ(run.trials, reference.trials);
   }
@@ -406,6 +412,93 @@ TEST(CacheCorrectness, MemoizedAndUnmemoizedSampledSimulationAgree) {
   }
 }
 
+// estimate_acceptance from its definition: trial t accepts iff every node
+// says yes, node v's verdict being its gate's on v's stripped ball,
+// extracted afresh for every (trial, node) cell, and where that is yes the
+// tail's on the coin stream (seed, t, v).
+int reference_accepted(const RandomizedGatedAlgorithm& alg,
+                       const LabeledGraph& g, int trials, std::uint64_t seed) {
+  const int horizon = alg.gate().horizon();
+  int accepted = 0;
+  for (int t = 0; t < trials; ++t) {
+    bool all_yes = true;
+    for (graph::NodeId v = 0; all_yes && v < g.node_count(); ++v) {
+      Rng coin = Rng::stream(seed, static_cast<std::uint64_t>(t),
+                             static_cast<std::uint64_t>(v));
+      all_yes = alg.gate().evaluate(extract_ball(g, nullptr, v, horizon)) ==
+                    Verdict::yes &&
+                alg.tail(g.label(v), coin) == Verdict::yes;
+    }
+    accepted += all_yes ? 1 : 0;
+  }
+  return accepted;
+}
+
+std::size_t gate_rejections(const RandomizedGatedAlgorithm& alg,
+                            const LabeledGraph& g) {
+  const RunResult run = run_oblivious(alg.gate(), g);
+  return static_cast<std::size_t>(
+      std::count(run.outputs.begin(), run.outputs.end(), Verdict::no));
+}
+
+TEST(AcceptanceEstimate, MatchesItsDefinitionAt1And4Threads) {
+  tm::FragmentPolicy policy;
+  policy.max_fragments = 60;
+  const auto gmr = [&](tm::TuringMachine m) {
+    return halting::build_gmr({std::move(m), 1, 3, policy, false, 4096})
+        .graph;
+  };
+  const RandomizedGatedAlgorithm decider =
+      halting::make_randomized_gmr_decider(3, policy, false, 4096);
+  const RandomizedGatedAlgorithm hungry = coin_hungry();
+  const LabeledGraph member = gmr(tm::halt_after(2, 0));
+  const LabeledGraph non_member = gmr(tm::zigzag_halt(1, 1));
+  ASSERT_EQ(gate_rejections(decider, member), 0u);
+  ASSERT_EQ(gate_rejections(decider, non_member), 0u);
+  // The first single-label mutation of the member that the verifier
+  // rejects at exactly one node: every trial must reject, though every
+  // other node's tail accepts.
+  std::optional<LabeledGraph> mutated;
+  for (std::uint64_t seed = 0; seed < 256 && !mutated; ++seed) {
+    Rng rng(seed);
+    LabeledGraph candidate = mutate_label(member, rng);
+    if (gate_rejections(decider, candidate) == 1) {
+      mutated = std::move(candidate);
+    }
+  }
+  ASSERT_TRUE(mutated.has_value());
+  const LabeledGraph cycle = two_colored_cycle(12);
+
+  struct Case {
+    const char* what;
+    const RandomizedGatedAlgorithm& alg;
+    const LabeledGraph& g;
+    int trials;
+  };
+  const Case cases[] = {{"G(M, r) member", decider, member, 6},
+                        {"G(M, r) non-member", decider, non_member, 6},
+                        {"one gate rejection", decider, *mutated, 6},
+                        {"coin-hungry cycle", hungry, cycle, 60}};
+  constexpr std::uint64_t kSeed = 5;
+  for (const Case& c : cases) {
+    const int expected = reference_accepted(c.alg, c.g, c.trials, kSeed);
+    for (int threads : {1, 4}) {
+      exec::ThreadPool pool(threads);
+      const AcceptanceEstimate est =
+          estimate_acceptance(c.alg, c.g, c.trials, {{&pool, nullptr}, kSeed});
+      EXPECT_EQ(est.trials, c.trials) << c.what;
+      EXPECT_EQ(est.accepted, expected) << c.what << ", " << threads
+                                        << " threads";
+    }
+  }
+  // The reference itself must see each input's regime.
+  EXPECT_EQ(reference_accepted(decider, member, 6, kSeed), 6);
+  EXPECT_EQ(reference_accepted(decider, *mutated, 6, kSeed), 0);
+  const int mixed = reference_accepted(hungry, cycle, 60, kSeed);
+  EXPECT_GT(mixed, 0);
+  EXPECT_LT(mixed, 60);
+}
+
 TEST(AcceptanceEstimate, ZeroTrialEstimateHasNoProbability) {
   AcceptanceEstimate empty;
   EXPECT_THROW(empty.probability(), Error);
@@ -415,9 +508,9 @@ TEST(AcceptanceEstimate, ZeroTrialEstimateHasNoProbability) {
   EXPECT_DOUBLE_EQ(ran.probability(), 0.25);
   // estimate_acceptance itself refuses to produce a zero-trial estimate.
   const LabeledGraph g = LabeledGraph::uniform(make_path(2), Label{});
-  const CoinHungry alg;
+  const RandomizedGatedAlgorithm alg = coin_hungry();
   exec::ExecContext serial;
-  EXPECT_THROW(estimate_acceptance(alg, g, nullptr, 0, {serial, 1}), Error);
+  EXPECT_THROW(estimate_acceptance(alg, g, 0, {serial, 1}), Error);
 }
 
 }  // namespace

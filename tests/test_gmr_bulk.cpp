@@ -181,6 +181,31 @@ TEST(GmrBulk, MutatedInstancesAgreeOnEveryNode) {
   EXPECT_GT(rejected, fixtures / 2);
 }
 
+// A cell code that names none of M's cells is garbage: both paths must
+// reject it, never hand it to the machine's cell accessors, which throw.
+TEST(GmrBulk, ForeignCellCodesAreRejected) {
+  const tm::FragmentPolicy policy = policy_with_cap(60);
+  const auto verifier = make_gmr_verifier(3, policy, false, 4096);
+  const tm::TuringMachine m = tm::halt_after(2, 0);
+  const GmrInstance inst = build_gmr({m, 1, 3, policy, false, 4096});
+  const graph::NodeId last = inst.graph.node_count() - 1;
+  const auto side = static_cast<graph::NodeId>(inst.table_side);
+  for (const auto& [v, code] :
+       {std::pair<graph::NodeId, std::int64_t>{inst.pivot, -1},
+        {side + 1, m.cell_code_count()},
+        {side * side, m.cell_code_count() + 5},
+        {last, -1}}) {
+    LabeledGraph g = inst.graph;
+    std::vector<std::int64_t> fields = g.label(v).fields();
+    fields[5] = code;  // the cell-code field of a cell label
+    g.set_label(v, local::Label(std::move(fields)));
+    const std::string what =
+        "node " + std::to_string(v) + " code " + std::to_string(code);
+    EXPECT_FALSE(all_yes(expect_bulk_matches_balls(*verifier, g, what)))
+        << what;
+  }
+}
+
 TEST(GmrBulk, SeparationAgreesWithItsBallLoop) {
   const tm::FragmentPolicy policy = policy_with_cap(60);
   std::vector<std::shared_ptr<const LocalAlgorithm>> candidates{

@@ -335,11 +335,9 @@ TEST(Randomized, PerfectCompletenessAndWhpSoundness) {
   GmrParams no_params{tm::zigzag_halt(2, 1), 1, 3, policy, false, 4096};
   const LabeledGraph yes = build_gmr(yes_params).graph;
   const LabeledGraph no = build_gmr(no_params).graph;
-  const auto p_yes =
-      local::estimate_acceptance(*decider, yes, nullptr, 10, {{}, 17});
+  const auto p_yes = local::estimate_acceptance(decider, yes, 10, {{}, 17});
   EXPECT_EQ(p_yes.accepted, p_yes.trials);  // one-sided: p = 1
-  const auto p_no =
-      local::estimate_acceptance(*decider, no, nullptr, 10, {{}, 18});
+  const auto p_no = local::estimate_acceptance(decider, no, 10, {{}, 18});
   EXPECT_EQ(p_no.accepted, 0);  // rejection probability ~ 1 at this n
 }
 
