@@ -67,11 +67,14 @@ void check_invariants(const Invariants& declared,
     fail(cat("declared degree bound ", declared.degree_bound,
              ", built max degree ", out.max_degree));
   }
-  if (declared.connected && !graph::is_connected(g)) {
-    fail("declared connected, built instance is not");
-  }
-  if (declared.bipartite && !graph::is_bipartite(g)) {
-    fail("declared bipartite, built instance is not");
+  if (declared.connected || declared.bipartite) {
+    const graph::TwoColouring colouring = graph::two_colour(g);
+    if (declared.connected && colouring.components > 1) {
+      fail("declared connected, built instance is not");
+    }
+    if (declared.bipartite && !colouring.bipartite) {
+      fail("declared bipartite, built instance is not");
+    }
   }
   out.invariants_ok = out.invariant_failures.empty();
 }
@@ -95,10 +98,13 @@ WorkloadResult run_family_workload(const FamilyInstanceSpec& spec,
   WorkloadResult out;
   out.family = spec.canonical();
   obs::Span workload_span("family-workload", spec.canonical());
-  const graph::CsrGraph g = [&] {
+  // The instance owns the one copy of the graph; the census, the audit and
+  // the panel all read it.
+  const local::LabeledGraph instance = [&] {
     obs::Span span("build-graph");
-    return spec.build(opts.seed);
+    return local::LabeledGraph(spec.build(opts.seed));
   }();
+  const graph::CsrGraph& g = instance.graph();
   out.nodes = g.node_count();
   out.edges = static_cast<std::int64_t>(g.edge_count());
   out.max_degree = g.node_count() == 0 ? 0 : g.max_degree();
@@ -107,18 +113,15 @@ WorkloadResult run_family_workload(const FamilyInstanceSpec& spec,
     check_invariants(spec.invariants(), g, out);
   }
 
-  const local::LabeledGraph instance(g);
-
   // Exact ball census on the two-tier canonicalization engine: byte-
   // identical extracted balls share one canonicalization, and the orbit-
   // pruned tier-2 search keeps even pathologically symmetric balls (a star
   // with k interchangeable leaves — hypercube and complete-bipartite
   // centres) near-linear instead of k!, so every cell reports exact
-  // isomorphism classes — no degree-profile fallback, on any family.
-  const graph::BallCensusResult census = graph::canonical_census(
-      g,
-      std::vector<std::string>(static_cast<std::size_t>(g.node_count())),
-      /*radius=*/1, exec.pool);
+  // isomorphism classes — no degree-profile fallback, on any family. The
+  // instance is unlabelled, so the census gets no payloads.
+  const graph::BallCensusResult census =
+      graph::canonical_census(g, {}, /*radius=*/1, exec.pool);
   out.ball_classes = census.distinct;
 
   // The panel is evaluated once per distinct class (its verdicts are pure

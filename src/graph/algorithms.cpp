@@ -1,6 +1,7 @@
 #include "graph/algorithms.h"
 
 #include <algorithm>
+#include <cstdint>
 #include <deque>
 
 namespace locald::graph {
@@ -59,38 +60,42 @@ std::vector<NodeId> nodes_within(CsrSpan g, NodeId src, int radius) {
   return result;
 }
 
-bool is_connected(CsrSpan g) {
-  if (g.node_count() <= 1) {
-    return true;
-  }
-  const auto dist = bfs_distances(g, 0);
-  return std::none_of(dist.begin(), dist.end(),
-                      [](int d) { return d == kUnreached; });
-}
-
-bool is_bipartite(CsrSpan g) {
-  std::vector<int> side(static_cast<std::size_t>(g.node_count()), -1);
+TwoColouring two_colour(CsrSpan g) {
+  TwoColouring out;
+  const auto n = static_cast<std::size_t>(g.node_count());
+  std::vector<std::int8_t> side(n, -1);
+  // Every node is queued exactly once, so one n-slot queue serves every
+  // component in turn.
+  std::vector<NodeId> queue;
+  queue.reserve(n);
+  std::size_t head = 0;
   for (NodeId s = 0; s < g.node_count(); ++s) {
-    if (side[s] != -1) {
+    if (side[static_cast<std::size_t>(s)] != -1) {
       continue;
     }
-    side[s] = 0;
-    std::deque<NodeId> queue{s};
-    while (!queue.empty()) {
-      const NodeId u = queue.front();
-      queue.pop_front();
+    ++out.components;
+    side[static_cast<std::size_t>(s)] = 0;
+    queue.push_back(s);
+    for (; head < queue.size(); ++head) {
+      const NodeId u = queue[head];
+      const std::int8_t colour = side[static_cast<std::size_t>(u)];
       for (NodeId w : g.neighbors(u)) {
-        if (side[w] == -1) {
-          side[w] = side[u] ^ 1;
+        std::int8_t& other = side[static_cast<std::size_t>(w)];
+        if (other == -1) {
+          other = static_cast<std::int8_t>(colour ^ 1);
           queue.push_back(w);
-        } else if (side[w] == side[u]) {
-          return false;
+        } else if (other == colour) {
+          out.bipartite = false;
         }
       }
     }
   }
-  return true;
+  return out;
 }
+
+bool is_connected(CsrSpan g) { return two_colour(g).components <= 1; }
+
+bool is_bipartite(CsrSpan g) { return two_colour(g).bipartite; }
 
 bool is_cycle_graph(CsrSpan g) {
   if (g.node_count() < 3 || !is_connected(g)) {

@@ -4,9 +4,12 @@
 // `nodes_within` delimits the radius-t ball B(v, t) that a local algorithm
 // sees (Section 1.2), and the shape predicates (`is_cycle_graph`, `is_tree`)
 // back the warm-up promise problems and let tests certify generated
-// families. Everything here is exact and intended for the small graphs of
-// the reproduction (balls, fragments, instances up to a few hundred
-// thousand nodes), not for streaming scale.
+// families. `two_colour` is the bench cell's invariant audit: one BFS over
+// a flat queue answers both "connected" and "bipartite" for instances of
+// up to 10^6 nodes, and `is_connected` / `is_bipartite` each read one of
+// its answers. Everything here is exact and intended for the graphs of the
+// reproduction (balls, fragments, bench instances), not for streaming
+// scale.
 #pragma once
 
 #include <vector>
@@ -25,6 +28,15 @@ std::vector<int> bfs_distances(CsrSpan g, NodeId src, int max_dist = -1);
 // tests' reference for graph::BallScratch::extract's member order.
 std::vector<NodeId> nodes_within(CsrSpan g, NodeId src, int radius);
 
+// One BFS 2-colouring pass: the number of connected components, and
+// whether the graph is bipartite.
+struct TwoColouring {
+  NodeId components = 0;
+  bool bipartite = true;
+};
+TwoColouring two_colour(CsrSpan g);
+
+// True with at most one component (so for n = 0 and n = 1 too).
 bool is_connected(CsrSpan g);
 
 bool is_bipartite(CsrSpan g);

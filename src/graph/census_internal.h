@@ -24,7 +24,7 @@ inline constexpr std::size_t kWitnessWords = std::size_t{1} << 14;
 
 // Structural hash of an extracted slice. Equal slices must hash equal; the
 // value never reaches output. `payloads` is null when every host node
-// carries the same bytes, which then tell balls apart no further.
+// carries the same bytes (or none), which then tell balls apart no further.
 using SliceHash = std::uint64_t (*)(const BallSlice&,
                                     const std::vector<std::string>* payloads);
 

@@ -55,15 +55,19 @@ CsrGraph CsrGraph::from_edges(NodeId n, const EdgeList& edges) {
     ++g.offsets_[static_cast<std::size_t>(u) + 1];
     ++g.offsets_[static_cast<std::size_t>(v) + 1];
   }
-  for (NodeId v = 0; v < n; ++v) {
-    g.offsets_[static_cast<std::size_t>(v) + 1] +=
-        g.offsets_[static_cast<std::size_t>(v)];
+  // offsets_[u + 1] becomes row u's start and serves as its fill cursor;
+  // once every arc is placed it has advanced to row u's end, which is the
+  // final offsets_[u + 1].
+  EdgeIndex start = 0;
+  for (std::size_t u = 1; u < g.offsets_.size(); ++u) {
+    const EdgeIndex degree = g.offsets_[u];
+    g.offsets_[u] = start;
+    start += degree;
   }
   g.adj_.resize(slots);
-  std::vector<EdgeIndex> cursor(g.offsets_.begin(), g.offsets_.end() - 1);
   for (const auto& [u, v] : edges) {
-    g.adj_[cursor[static_cast<std::size_t>(u)]++] = v;
-    g.adj_[cursor[static_cast<std::size_t>(v)]++] = u;
+    g.adj_[g.offsets_[static_cast<std::size_t>(u) + 1]++] = v;
+    g.adj_[g.offsets_[static_cast<std::size_t>(v) + 1]++] = u;
   }
   for (NodeId v = 0; v < n; ++v) {
     NodeId* first = g.adj_.data() + g.offsets_[static_cast<std::size_t>(v)];

@@ -487,6 +487,15 @@ class Canonicalizer {
 
 // ---- census internals ------------------------------------------------------
 
+// Host node v's label bytes. An empty payload vector is an unlabelled
+// host, whose every node reads as the empty string.
+const std::string& payload_of(const std::vector<std::string>& payloads,
+                              NodeId v) {
+  static const std::string kUnlabelled;
+  return payloads.empty() ? kUnlabelled
+                          : payloads[static_cast<std::size_t>(v)];
+}
+
 // Centre-marked payloads of a ball slice, in local-id order (matching
 // local::Ball's stripped-ball payload scheme).
 std::vector<std::string> slice_payloads(
@@ -495,7 +504,7 @@ std::vector<std::string> slice_payloads(
   out.reserve(static_cast<std::size_t>(s.local.n));
   for (NodeId v = 0; v < s.local.n; ++v) {
     std::string p = (v == s.center) ? "C" : "N";
-    p += host_payloads[static_cast<std::size_t>(s.to_host[v])];
+    p += payload_of(host_payloads, s.to_host[v]);
     out.push_back(std::move(p));
   }
   return out;
@@ -727,10 +736,10 @@ BallCensusResult census_with_hash(const CsrGraph& host,
                                   int radius, exec::ThreadPool* pool,
                                   std::size_t max_leaves, SliceHash hash,
                                   CensusPaths* paths) {
-  LOCALD_CHECK(payloads.size() == static_cast<std::size_t>(host.node_count()),
+  const std::size_t n = static_cast<std::size_t>(host.node_count());
+  LOCALD_CHECK(payloads.empty() || payloads.size() == n,
                "one payload required per host node");
   LOCALD_CHECK(radius >= 0, "radius must be non-negative");
-  const std::size_t n = static_cast<std::size_t>(host.node_count());
   const CsrSpan hs = host.span();
   BallCensusResult result;
   ensure_canon_metrics_registered();
@@ -745,7 +754,7 @@ BallCensusResult census_with_hash(const CsrGraph& host,
   stage_span.emplace("census-extract-hash");
 
   // Payloads every host node shares tell no two balls apart, so hashing
-  // and comparing skip them.
+  // and comparing skip them, as they do for an unlabelled host.
   const bool uniform =
       std::all_of(payloads.begin(), payloads.end(),
                   [&](const std::string& p) { return p == payloads[0]; });
@@ -895,8 +904,7 @@ BallCensusResult census_with_hash(const CsrGraph& host,
       key += std::to_string(s.center);
       key += "|";
       for (NodeId v = 0; v < s.local.n; ++v) {
-        const std::string& p =
-            payloads[static_cast<std::size_t>(s.to_host[v])];
+        const std::string& p = payload_of(payloads, s.to_host[v]);
         key += std::to_string(p.size());
         key += ":";
         key += p;

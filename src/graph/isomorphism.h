@@ -110,7 +110,9 @@ std::string wl_certificate(CsrSpan g,
 // for every host node v, centre-marked ("C"/"N" payload prefixes, matching
 // local::Ball's stripped-ball payload scheme) so the centre is
 // distinguished. `payloads[v]` contributes the host node's label bytes to
-// every ball containing v (pass empty strings for pure topology).
+// every ball containing v. An empty `payloads` means pure topology and
+// costs no per-node memory; a non-empty one needs exactly one entry per
+// host node. Both give the same classes and encodings as n empty strings.
 struct BallCensusResult {
   // class_of[v] = dense class id of node v's ball, numbered by first
   // occurrence in node order; class_representative[c] = the first host

@@ -111,6 +111,44 @@ TEST(CensusCollision, TheRealHashNeedsNoFallback) {
   }
 }
 
+// An empty payload vector is an unlabelled host: every field of the census
+// equals the census with one empty string per node, on the real hash and
+// under a forced collision, whose fallback keys then carry no payloads.
+TEST(CensusUnlabelled, EmptyPayloadsMatchOneEmptyStringPerNode) {
+  struct Host {
+    const char* name;
+    CsrGraph g;
+    int radius;
+    bool collides;  // the constant hash sends it to the fallback
+  };
+  const std::vector<Host> hosts = {
+      {"grid", make_grid(20, 20), 1, true},
+      {"cycles", two_block_cycles(), 1, false},
+      {"clique", make_complete(130), 1, false},
+      {"torus", make_torus(64, 64), 3, true},
+  };
+  for (const Host& h : hosts) {
+    const std::vector<std::string> blank(
+        static_cast<std::size_t>(h.g.node_count()));
+    const BallCensusResult want = canonical_census(h.g, blank, h.radius);
+    for (int threads : {1, 4}) {
+      SCOPED_TRACE(std::string(h.name) + " x" + std::to_string(threads));
+      exec::ThreadPool pool(threads);
+      expect_same_census(want, canonical_census(h.g, {}, h.radius, &pool));
+      CensusPaths paths;
+      expect_same_census(want,
+                         census_with_hash(h.g, {}, h.radius, &pool, 1 << 20,
+                                          constant_hash, &paths));
+      EXPECT_EQ(paths.stage1_mismatch || paths.deferred_mismatch, h.collides);
+    }
+  }
+  const CsrGraph grid = make_grid(20, 20);
+  EXPECT_THROW(canonical_census(grid, std::vector<std::string>(399), 1),
+               Error);
+  EXPECT_THROW(canonical_census(grid, std::vector<std::string>(401), 1),
+               Error);
+}
+
 // A 64x64 torus labelled v mod 2048: shifting by 32 rows is a labelled
 // automorphism, so every ball has exactly one twin, two blocks on. Within
 // a block every ball is distinct, and at radius 3 a block's balls need

@@ -2,7 +2,8 @@
 // encodings, per-family declared invariants (node/edge counts, degree
 // bound, connectivity, bipartiteness) across sizes and seeds, build
 // determinism (same params + seed => identical edge list), the
-// stream-seeded random builders, the deterministic family workload, and
+// stream-seeded random builders, the deterministic family workload, the
+// invariant audit's failure path and its one-pass 2-colouring, and
 // byte-identity of the `locald bench` document across thread grids.
 #include <gtest/gtest.h>
 
@@ -340,6 +341,132 @@ TEST(Workload, PanelCountsMatchBetweenSerialAndPooledRuns) {
   for (std::size_t i = 0; i < serial.panel.size(); ++i) {
     EXPECT_EQ(serial.panel[i].yes_nodes, pooled.panel[i].yes_nodes);
     EXPECT_EQ(serial.panel[i].accepted, pooled.panel[i].accepted);
+  }
+}
+
+// ---- the invariant audit's failure path ------------------------------------
+
+graph::CsrGraph build_two_triangles(const std::vector<std::int64_t>&,
+                                    std::uint64_t) {
+  return graph::CsrGraph::from_edges(
+      6, {{0, 1}, {1, 2}, {0, 2}, {3, 4}, {4, 5}, {3, 5}});
+}
+
+graph::CsrGraph build_nine_cycle(const std::vector<std::int64_t>&,
+                                 std::uint64_t) {
+  return graph::make_cycle(9);
+}
+
+Invariants claims_connected(const std::vector<std::int64_t>&) {
+  return {.connected = true};
+}
+
+Invariants claims_bipartite(const std::vector<std::int64_t>&) {
+  return {.bipartite = true};
+}
+
+Invariants claims_both(const std::vector<std::int64_t>&) {
+  return {.connected = true, .bipartite = true};
+}
+
+Family lying_family(std::string name, Family::InvariantsFn declared,
+                    Family::BuildFn build) {
+  Family family;
+  family.name = std::move(name);
+  family.declared_invariants = declared;
+  family.build = build;
+  return family;
+}
+
+// Families whose declarations lie must fail the audit with exactly the
+// violated declarations, at any thread count.
+TEST(Workload, FalseDeclarationsFailTheAudit) {
+  const std::string not_connected =
+      "declared connected, built instance is not";
+  const std::string not_bipartite =
+      "declared bipartite, built instance is not";
+  struct Case {
+    Family family;
+    std::vector<std::string> failures;
+  };
+  const std::vector<Case> cases = {
+      {lying_family("two-triangles", claims_connected, build_two_triangles),
+       {not_connected}},
+      {lying_family("nine-cycle", claims_bipartite, build_nine_cycle),
+       {not_bipartite}},
+      {lying_family("two-triangles", claims_both, build_two_triangles),
+       {not_connected, not_bipartite}},
+  };
+  for (const Case& c : cases) {
+    for (int threads : {1, 4}) {
+      SCOPED_TRACE(c.family.name + " x" + std::to_string(threads));
+      exec::ThreadPool pool(threads);
+      const WorkloadResult r = run_family_workload(
+          FamilyInstanceSpec(&c.family, {}), {}, {.pool = &pool});
+      EXPECT_FALSE(r.invariants_ok);
+      EXPECT_EQ(r.invariant_failures, c.failures);
+    }
+  }
+}
+
+// Components by repeated BFS, and bipartiteness as "every edge joins BFS
+// depths of different parity": the textbook definitions `two_colour`
+// fuses into one pass.
+graph::TwoColouring reference_two_colour(const graph::CsrGraph& g) {
+  graph::TwoColouring out;
+  std::vector<int> depth(static_cast<std::size_t>(g.node_count()),
+                         graph::kUnreached);
+  for (graph::NodeId s = 0; s < g.node_count(); ++s) {
+    if (depth[static_cast<std::size_t>(s)] != graph::kUnreached) {
+      continue;
+    }
+    ++out.components;
+    const std::vector<int> dist = graph::bfs_distances(g, s);
+    for (std::size_t v = 0; v < dist.size(); ++v) {
+      if (dist[v] != graph::kUnreached) {
+        depth[v] = dist[v];
+      }
+    }
+  }
+  for (const auto& [u, v] : g.edges()) {
+    if (depth[static_cast<std::size_t>(u)] % 2 ==
+        depth[static_cast<std::size_t>(v)] % 2) {
+      out.bipartite = false;
+    }
+  }
+  return out;
+}
+
+TEST(InvariantAudit, TwoColourMatchesBfsReferences) {
+  struct Case {
+    const char* name;
+    graph::CsrGraph g;
+    graph::NodeId components;
+    bool bipartite;
+  };
+  const std::vector<Case> cases = {
+      {"empty", graph::CsrGraph::from_edges(0, {}), 0, true},
+      {"single node", graph::CsrGraph::from_edges(1, {}), 1, true},
+      // A path, a 4-cycle and an isolated node.
+      {"disconnected bipartite",
+       graph::CsrGraph::from_edges(
+           8, {{0, 1}, {1, 2}, {3, 4}, {4, 5}, {5, 6}, {3, 6}}),
+       3, true},
+      // An edge, then a triangle: the odd cycle sits past the first BFS.
+      {"odd cycle in the second component",
+       graph::CsrGraph::from_edges(5, {{0, 1}, {2, 3}, {3, 4}, {2, 4}}), 2,
+       false},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.name);
+    const graph::TwoColouring got = graph::two_colour(c.g);
+    const graph::TwoColouring want = reference_two_colour(c.g);
+    EXPECT_EQ(got.components, c.components);
+    EXPECT_EQ(got.bipartite, c.bipartite);
+    EXPECT_EQ(got.components, want.components);
+    EXPECT_EQ(got.bipartite, want.bipartite);
+    EXPECT_EQ(graph::is_connected(c.g), c.components <= 1);
+    EXPECT_EQ(graph::is_bipartite(c.g), c.bipartite);
   }
 }
 
